@@ -20,7 +20,8 @@ Environment knobs:
     Directory the machine-readable perf records are written to (default:
     current working directory).  One ``BENCH_<module>.json`` file per
     benchmark module tracks wall-clock per test, events/sec where the
-    benchmark reports it, and the backend — the perf trajectory across PRs.
+    benchmark reports it, and the backend that ran — the perf trajectory
+    across PRs.
 """
 
 from __future__ import annotations
@@ -90,7 +91,10 @@ def record_perf(module: str, test: str, **fields) -> None:
     """Attach extra perf fields (e.g. ``events_per_second``) to a test record.
 
     Benchmarks call this with whatever throughput figures they can compute;
-    wall-clock and backend are recorded automatically for every test.
+    wall-clock and backend are recorded automatically for every test.  A
+    benchmark that pins its physics backend (rather than following
+    ``REPRO_BACKEND``) passes ``backend=`` so its record names the backend
+    that actually ran.
     """
     _records()[module].setdefault(test, {}).update(fields)
 
@@ -134,11 +138,13 @@ def pytest_sessionfinish(session, exitstatus):
         return
     out_dir = Path(os.environ.get("REPRO_BENCH_JSON_DIR", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
-    backend = bench_backend()
     for module, tests in records.items():
+        for record in tests.values():
+            record.setdefault("backend", bench_backend())
+        backends = sorted({record["backend"] for record in tests.values()})
         payload = {
             "module": module,
-            "backend": backend,
+            "backend": "+".join(backends),
             "bench_scale": SCALE,
             "attempt_batch": BATCH,
             "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),

@@ -38,7 +38,6 @@ from repro.backends.base import (
     PhysicsBackend,
 )
 from repro.backends.density import DensityAttemptModel, DensityMatrixBackend
-from repro.backends.vectorized import VectorizedAnalyticBackend
 
 #: Environment variable consulted when no backend is passed explicitly.
 BACKEND_ENV_VAR = "REPRO_BACKEND"
@@ -88,8 +87,9 @@ def get_backend(
         backend: Union[None, str, PhysicsBackend] = None) -> PhysicsBackend:
     """Resolve a backend name (or pass through an instance).
 
-    Named backends are shared singletons so their per-``alpha`` attempt-model
-    caches are reused across runs within one process.
+    Named backends are per-process singletons, so their FEU table caches
+    (and the attempt models behind them) stay warm across every run in one
+    process: serial sweeps, pool tasks and cluster workers alike.
     """
     if isinstance(backend, PhysicsBackend):
         return backend
@@ -112,7 +112,6 @@ __all__ = [
     "DensityMatrixBackend",
     "HeraldSample",
     "PhysicsBackend",
-    "VectorizedAnalyticBackend",
     "available_backends",
     "default_backend_name",
     "get_backend",

@@ -348,6 +348,9 @@ class AnalyticBackend(PhysicsBackend):
         if not fast_forward:
             self.name = "analytic-exact"
         self._povm_cache: dict[tuple, tuple] = {}
+        #: FEU tables by (scenario, alpha-grid tuple); see
+        #: FidelityEstimationUnit._build_tables.
+        self.feu_table_cache: dict[tuple, dict] = {}
 
     # ------------------------------------------------------------------ #
     # Heralding

@@ -131,6 +131,11 @@ class DensityMatrixBackend(PhysicsBackend):
 
     name = "density"
 
+    def __init__(self) -> None:
+        #: FEU tables by (scenario, alpha-grid tuple); see
+        #: FidelityEstimationUnit._build_tables.
+        self.feu_table_cache: dict[tuple, dict] = {}
+
     # ------------------------------------------------------------------ #
     # Heralding
     # ------------------------------------------------------------------ #

@@ -50,15 +50,6 @@ class CostModel(ABC):
         """Relative cost (arbitrary positive units) of running ``spec`` for
         ``duration`` simulated seconds."""
 
-    def cohort_estimate(self, spec: ScenarioSpec, duration: float,
-                        cohort_size: int) -> float:
-        """Cost of ``spec`` when run inside a vectorized cohort of
-        ``cohort_size`` members (see ``repro.runtime.batch``).
-
-        Default: no batching benefit assumed — subclasses that understand
-        cohort throughput override this."""
-        return self.estimate(spec, duration)
-
 
 class StaticCostModel(CostModel):
     """Closed-form k/load/kind/backend heuristic (no calibration data).
@@ -80,12 +71,6 @@ class StaticCostModel(CostModel):
     #: layer's share of the run.  Only the *ranking* matters for LPT.
     ENGINE_FACTORS = {"heap": 1.0, "calendar": 0.7, "ladder": 0.8}
     DEFAULT_ENGINE_FACTOR = 1.0
-
-    #: Saturating per-member speedup of analytic cohort execution: the
-    #: shared FEU tables and memoized pair physics amortize quickly, so a
-    #: cohort of B analytic members costs roughly ``B / min(B, this)``
-    #: solo runs.  Like the other factors, only the ranking matters.
-    ANALYTIC_COHORT_SPEEDUP = 6.0
 
     def estimate(self, spec: ScenarioSpec, duration: float) -> float:
         features = spec.cost_features()
@@ -109,16 +94,6 @@ class StaticCostModel(CostModel):
         return (max(duration, 1e-9) * max(units, 1e-6) * backend * engine
                 * links)
 
-    def cohort_estimate(self, spec: ScenarioSpec, duration: float,
-                        cohort_size: int) -> float:
-        base = self.estimate(spec, duration)
-        if (cohort_size <= 1 or spec.backend_name() != "analytic"
-                or getattr(spec, "topology", None) is not None):
-            # Only single-link analytic scenarios join cohorts
-            # (see repro.runtime.batch.cohortable).
-            return base
-        return base / min(float(cohort_size), self.ANALYTIC_COHORT_SPEEDUP)
-
 
 class RecordedCostModel(CostModel):
     """Cost model calibrated from recorded per-scenario wall-clock.
@@ -139,15 +114,6 @@ class RecordedCostModel(CostModel):
     #: model persisted across hundreds of sweeps stays bounded and tracks
     #: hardware drift instead of averaging over its whole history.
     MAX_OBSERVATIONS_PER_KEY = 32
-
-    #: Backend-key suffix for observations made inside a vectorized cohort.
-    #: Cohort members report their *effective* per-member wall-clock (cohort
-    #: wall / cohort size), which is several times below the solo rate —
-    #: mixing the two histories under one key would poison shard planning
-    #: for whichever mode runs next, so they are recorded apart.  The suffix
-    #: rides inside the existing ``backend`` string, so persisted v1 cost
-    #: models round-trip unchanged.
-    COHORT_KEY_SUFFIX = "#cohort"
 
     def __init__(self, fallback: Optional[CostModel] = None) -> None:
         self.fallback = fallback or StaticCostModel()
@@ -189,11 +155,8 @@ class RecordedCostModel(CostModel):
         if outcome.duration <= 0:
             return False
         rate = outcome.wall_time / outcome.duration
-        backend_key = outcome.backend
-        if getattr(outcome, "cohort", None) and outcome.cohort > 1:
-            backend_key += self.COHORT_KEY_SUFFIX
         rates = self._rates.setdefault(
-            (outcome.scenario_name, backend_key), [])
+            (outcome.scenario_name, outcome.backend), [])
         rates.append(rate)
         if len(rates) > self.MAX_OBSERVATIONS_PER_KEY:
             del rates[:-self.MAX_OBSERVATIONS_PER_KEY]
@@ -266,16 +229,9 @@ class RecordedCostModel(CostModel):
     # ------------------------------------------------------------------ #
     # Estimation
     # ------------------------------------------------------------------ #
-    def recorded_rate(self, spec: ScenarioSpec,
-                      cohort: bool = False) -> Optional[float]:
-        """Mean recorded wall-seconds per simulated second, if any.
-
-        With ``cohort`` the cohort-mode history (per-member effective rate)
-        is consulted instead of the solo history."""
-        backend_key = spec.backend_name()
-        if cohort:
-            backend_key += self.COHORT_KEY_SUFFIX
-        rates = self._rates.get((spec.name, backend_key))
+    def recorded_rate(self, spec: ScenarioSpec) -> Optional[float]:
+        """Mean recorded wall-seconds per simulated second, if any."""
+        rates = self._rates.get((spec.name, spec.backend_name()))
         if not rates:
             return None
         return sum(rates) / len(rates)
@@ -285,22 +241,6 @@ class RecordedCostModel(CostModel):
         if rate is not None:
             return rate * max(duration, 1e-9)
         return self._rescaled_fallback(spec, duration)
-
-    def cohort_estimate(self, spec: ScenarioSpec, duration: float,
-                        cohort_size: int) -> float:
-        if cohort_size <= 1:
-            return self.estimate(spec, duration)
-        rate = self.recorded_rate(spec, cohort=True)
-        if rate is not None:
-            return rate * max(duration, 1e-9)
-        # No cohort history yet: scale the solo estimate by the fallback
-        # heuristic's batched/solo ratio (1.0 for non-analytic scenarios).
-        solo = self.estimate(spec, duration)
-        base = self.fallback.estimate(spec, duration)
-        if base <= 0:
-            return solo
-        return solo * (self.fallback.cohort_estimate(spec, duration,
-                                                     cohort_size) / base)
 
     def _rescaled_fallback(self, spec: ScenarioSpec, duration: float) -> float:
         """Fallback estimate rescaled onto the recorded-cost scale.
@@ -383,29 +323,19 @@ class ShardPlan:
 
 def plan_shards(specs: Sequence[ScenarioSpec], num_shards: int,
                 duration: float,
-                cost_model: Optional[CostModel] = None,
-                cohort_size: int = 1) -> ShardPlan:
+                cost_model: Optional[CostModel] = None) -> ShardPlan:
     """Partition ``specs`` into ``num_shards`` shards with LPT greedy.
 
     Deterministic: equal inputs always produce the identical plan (costs tie
     on scenario index, shard loads tie on shard id).  Shards can end up
     empty when there are fewer scenarios than shards.
-
-    ``cohort_size > 1`` plans for workers running vectorized cohorts of
-    that size: analytic scenarios are weighted by their batched cost
-    (:meth:`CostModel.cohort_estimate`), so an analytic-heavy shard is
-    sized for its true throughput instead of its solo cost.
     """
     if num_shards < 1:
         raise ValueError("num_shards must be >= 1")
     model = cost_model or StaticCostModel()
     if isinstance(model, RecordedCostModel):
         model.prepare_scale(specs, duration)
-    if cohort_size > 1:
-        costs = [float(model.cohort_estimate(spec, duration, cohort_size))
-                 for spec in specs]
-    else:
-        costs = [float(model.estimate(spec, duration)) for spec in specs]
+    costs = [float(model.estimate(spec, duration)) for spec in specs]
     order = sorted(range(len(specs)), key=lambda i: (-costs[i], i))
     shards: list[list[int]] = [[] for _ in range(num_shards)]
     heap = [(0.0, shard_id) for shard_id in range(num_shards)]

@@ -27,11 +27,9 @@ through :meth:`~repro.cluster.transport.Transport.submit_result`, which is
 durable before the done marker exists — crash-and-resume is safe at every
 point.
 
-With ``batch_size > 1`` a worker claims up to that many *analytic* scenarios
-per step and advances them as one vectorized cohort
-(:mod:`repro.runtime.batch`): one lease and one heartbeat per member, so the
-failure story is unchanged — a member whose lease was taken over mid-cohort
-is aborted individually while the others still submit.
+Scenarios run on the process-wide named backend
+(:func:`repro.backends.get_backend`), so FEU tables built for one scenario
+stay warm for every later scenario on the same hardware.
 
 When the plan carries a :class:`~repro.runtime.guard.GuardPolicy` the worker
 executes under it (event budgets, wall deadlines, result validation) and
@@ -40,8 +38,7 @@ reports failed outcomes through
 submitting them: the coordinator charges the scenario's retry budget,
 releases the lease for a retry, and quarantines the scenario once the
 budget is spent.  A ``MemoryError`` anywhere in execution is reported as an
-``oom`` failure and halves this worker's cohort batch size — the usual
-reason a cohort blows the memory ceiling is the cohort itself.
+``oom`` failure.
 
 CLI — the whole multi-machine deployment story::
 
@@ -52,7 +49,6 @@ CLI — the whole multi-machine deployment story::
 from __future__ import annotations
 
 import argparse
-import contextlib
 import logging
 import os
 import threading
@@ -67,12 +63,7 @@ from repro.cluster.transport import (
     Transport,
     TransportError,
 )
-from repro.runtime.cache import (
-    CacheReport,
-    CacheSkip,
-    ResumeCache,
-    cost_model_path,
-)
+from repro.runtime.cache import CacheReport, CacheSkip, ResumeCache
 from repro.runtime.sweep import (
     ScenarioOutcome,
     _failure_outcome,
@@ -80,51 +71,6 @@ from repro.runtime.sweep import (
 )
 
 logger = logging.getLogger("repro.cluster.worker")
-
-#: Ceiling of the auto-derived cohort size: recorded speedups beyond this
-#: are noise (the vectorized backend's amortization saturates, see
-#: ``StaticCostModel.ANALYTIC_COHORT_SPEEDUP``), and oversized cohorts delay
-#: lease turnover without buying throughput.
-MAX_AUTO_BATCH_SIZE = 8
-
-
-def derive_batch_size(plan, cache_dir: "Optional[str | Path]" = None) -> int:
-    """Pick a cohort size from recorded cost-model history.
-
-    The persisted cost model (``cost_model.json`` next to the resume cache,
-    or in the cluster directory) records cohort-mode throughput separately
-    from solo throughput under the ``#cohort`` backend key.  The observed
-    per-member speedup, averaged over the plan's cohortable scenarios that
-    have history in *both* modes, is the cohort size worth claiming: a
-    cohort of roughly that many members keeps the vectorized backend at its
-    measured amortization.  Without history (first sweep, foreign machine,
-    socket worker without a shared filesystem) this returns 1 — the solo
-    path — so auto-derivation can never regress an uncalibrated deployment.
-    """
-    from repro.cluster.planner import RecordedCostModel
-    from repro.runtime.batch import cohortable
-
-    if cache_dir is None:
-        cache_dir = plan.cache_dir
-    if cache_dir is None:
-        return 1
-    model = RecordedCostModel.load_if_present(cost_model_path(cache_dir))
-    if model is None:
-        return 1
-    speedups = []
-    for spec in plan.specs:
-        if not cohortable(spec):
-            continue
-        solo = model.recorded_rate(spec)
-        cohort = model.recorded_rate(spec, cohort=True)
-        if solo is None or cohort is None or cohort <= 0:
-            continue
-        speedups.append(solo / cohort)
-    if not speedups:
-        return 1
-    mean = sum(speedups) / len(speedups)
-    return max(1, min(MAX_AUTO_BATCH_SIZE, round(mean)))
-
 
 class _Heartbeat:
     """Daemon thread refreshing a lease through the transport while a
@@ -197,13 +143,6 @@ class ClusterWorker:
         Resume-cache directory override.  Defaults to the plan's
         ``cache_dir`` (shared-filesystem deployments); socket workers
         typically pass a machine-local directory or ``None``.
-    batch_size:
-        Cohort size for vectorized execution.  With ``batch_size > 1`` each
-        step claims up to this many analytic scenarios and runs them as one
-        cohort; non-analytic scenarios keep the solo path.  ``None`` (the
-        default) derives the size from the persisted cost model's recorded
-        cohort speedup (see :func:`derive_batch_size`) — 1 when there is no
-        calibration history.
     """
 
     def __init__(self, cluster: "Transport | str | Path",
@@ -213,7 +152,6 @@ class ClusterWorker:
                  crash_after_claims: Optional[int] = None,
                  on_outcome: Optional[Callable[[ScenarioOutcome], None]] = None,
                  cache_dir: "Optional[str | Path]" = ...,
-                 batch_size: Optional[int] = None,
                  ) -> None:
         if isinstance(cluster, Transport):
             self.transport = cluster
@@ -226,12 +164,6 @@ class ClusterWorker:
         self.steal = steal
         if cache_dir is ...:
             cache_dir = self.plan.cache_dir
-        if batch_size is None:
-            batch_size = derive_batch_size(self.plan, cache_dir=cache_dir)
-            if batch_size > 1:
-                logger.info("[%s] auto-derived cohort batch size %d from "
-                            "recorded cost model", worker_id, batch_size)
-        self.batch_size = max(1, int(batch_size))
         self.crash_after_claims = crash_after_claims
         self.on_outcome = on_outcome
         self.crashed = False
@@ -252,10 +184,6 @@ class ClusterWorker:
         #: (keyed on ``(index, worker_id, attempt)``).
         self._attempts = 0
         self._last_snapshot: Optional[TaskSnapshot] = None
-        #: Shared vectorized backend reused across this worker's cohorts so
-        #: FEU tables and physics chains stay warm between steps (results
-        #: are bit-identical with or without the reuse).
-        self._cohort_backend = None
         self._cache = None if cache_dir is None else ResumeCache(cache_dir)
         #: The plan's supervision policy (``None`` on unguarded plans):
         #: installed into every execution and the trigger for routing
@@ -400,20 +328,13 @@ class ClusterWorker:
         to pending for a retry — possibly by this same worker) and, once
         the budget is spent, quarantines it: a durable record plus a
         synthetic ``quarantined`` outcome in the sinks, so the sweep still
-        completes.  An ``oom`` failure additionally halves this worker's
-        cohort batch size — smaller cohorts are the one lever a worker has
-        against its own memory ceiling.
+        completes.
         """
         self._attempts += 1
         self.failed.append(index)
         if self.metrics is not None:
             self.metrics.counter("repro_worker_failures_total",
                                  status=outcome.status)
-        if outcome.status == "oom" and self.batch_size > 1:
-            self.batch_size = max(1, self.batch_size // 2)
-            logger.warning("[%s] oom on scenario %d; cohort batch size "
-                           "halved to %d", self.worker_id, index,
-                           self.batch_size)
         charged = self.transport.record_failure(self.worker_id, index,
                                                 outcome,
                                                 attempt=self._attempts)
@@ -466,8 +387,7 @@ class ClusterWorker:
         return False
 
     def step(self) -> Optional[int]:
-        """Claim and execute one scenario (or one cohort of scenarios, with
-        ``batch_size > 1``); ``None`` when nothing is left.
+        """Claim and execute one scenario; ``None`` when nothing is left.
 
         "Nothing" means: no pending scenario this worker may take right now.
         Live leases held by other workers are *not* waited for — callers
@@ -477,8 +397,6 @@ class ClusterWorker:
         if self.crashed:
             return None
         snapshot = self._last_snapshot = self.transport.snapshot()
-        if self.batch_size > 1:
-            return self._step_cohort(snapshot)
         for index in self._next_candidates(snapshot):
             if not self.transport.try_claim(index, self.worker_id):
                 continue
@@ -487,89 +405,6 @@ class ClusterWorker:
                 return None
             return self._execute_claimed(index)
         return None
-
-    def _step_cohort(self, snapshot: TaskSnapshot) -> Optional[int]:
-        """Claim up to ``batch_size`` analytic scenarios and run them as one
-        vectorized cohort — one lease and heartbeat per member, so each
-        member aborts or submits individually exactly as on the solo path.
-        """
-        from repro.runtime.batch import cohortable, execute_cohort
-
-        claimed: list[int] = []
-        for index in self._next_candidates(snapshot):
-            solo = not cohortable(self.plan.specs[index])
-            if solo and claimed:
-                # Run the cohort gathered so far first; the non-analytic
-                # scenario stays claimable for the next step (or a peer).
-                break
-            if not self.transport.try_claim(index, self.worker_id):
-                continue
-            self._note_claim(index, snapshot)
-            if self._crash_hook():
-                return None
-            if solo:
-                return self._execute_claimed(index)
-            claimed.append(index)
-            if len(claimed) >= self.batch_size:
-                break
-        if not claimed:
-            return None
-        if len(claimed) == 1:
-            return self._execute_claimed(claimed[0])
-
-        # Cache hits submit straight away (their leases are fresh); the
-        # misses form the cohort.
-        payloads = []
-        for index in claimed:
-            outcome = self._load_cached(index)
-            if outcome is not None:
-                self._submit(index, outcome)
-            else:
-                payloads.append((index, self.plan.specs[index],
-                                 self.plan.seeds[index], self.plan.duration))
-        if not payloads:
-            return claimed[0]
-        if self._cohort_backend is None:
-            from repro.backends.vectorized import VectorizedAnalyticBackend
-            self._cohort_backend = VectorizedAnalyticBackend()
-        with contextlib.ExitStack() as stack:
-            beats = {
-                payload[0]: stack.enter_context(
-                    _Heartbeat(self.transport, payload[0], self.worker_id,
-                               self.plan.lease_timeout / 3.0))
-                for payload in payloads
-            }
-            try:
-                outcomes = execute_cohort(payloads,
-                                          backend=self._cohort_backend,
-                                          guard=self.guard)
-            except MemoryError:
-                # The cohort itself (vectorized state allocation) blew the
-                # memory ceiling before per-member handling could: every
-                # member becomes an oom failure, and _report_failure halves
-                # the batch size so the retries come back smaller.
-                self._cohort_backend = None
-                outcomes = [
-                    (payload[0], _failure_outcome(
-                        payload[1], payload[2], payload[3], "oom",
-                        f"MemoryError in a {len(payloads)}-member cohort",
-                        time.perf_counter()))
-                    for payload in payloads
-                ]
-        # All heartbeat threads are joined here — per-member lease_lost is
-        # final, and a displaced member aborts while the rest submit.
-        specs = {payload[0]: payload[1] for payload in payloads}
-        for index, outcome in outcomes:
-            if beats[index].lease_lost.is_set():
-                self._abort(index)
-                continue
-            if self.guard is not None and not outcome.ok:
-                self._report_failure(index, outcome)
-                continue
-            if self._cache is not None:
-                self._cache.store(specs[index], outcome, self.plan.duration)
-            self._submit(index, outcome)
-        return claimed[0]
 
     def run(self, poll_interval: float = 0.2,
             wait_for_stragglers: bool = True,
@@ -670,12 +505,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                         help="machine-local resume-cache directory "
                              "(default: the plan's cache_dir; '' disables "
                              "caching)")
-    parser.add_argument("--batch-size", type=int, default=None,
-                        help="vectorized cohort size: claim up to this many "
-                             "analytic scenarios per step and advance them "
-                             "as one cohort (default: auto — derived from "
-                             "the recorded cost model's cohort speedup, 1 "
-                             "without calibration history)")
     parser.add_argument("--no-steal", action="store_true",
                         help="never take work from other shards")
     parser.add_argument("--no-wait", action="store_true",
@@ -711,7 +540,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         transport, worker_id=args.worker_id, shard=args.shard,
         steal=not args.no_steal, on_outcome=progress,
         crash_after_claims=args.crash_after_claims,
-        cache_dir=cache_dir, batch_size=args.batch_size)
+        cache_dir=cache_dir)
     logger.info("[%s] serving shard %d of %d over %s (%d scenarios total)",
                 worker.worker_id, worker.shard,
                 worker.plan.shard_plan.num_shards, transport.kind,

@@ -111,20 +111,17 @@ class FidelityEstimationUnit:
     # Hardware-model based estimates
     # ------------------------------------------------------------------ #
     def _build_tables(self) -> None:
-        # A cohort-shared backend (repro.backends.vectorized) exposes a
-        # table cache: the grid is pure function of (scenario, alpha grid),
-        # and building it — per-alpha delivered-fidelity einsum chains — is
-        # the dominant per-run setup cost, so every FEU of a cohort reuses
-        # the first member's table.  The rows are immutable tuples; the
-        # FEU only ever reads them.
-        cache = getattr(self.backend, "feu_table_cache", None)
-        cache_key = None
-        if cache is not None:
-            cache_key = (self.scenario, tuple(map(float, self.alpha_grid)))
-            cached = cache.get(cache_key)
-            if cached is not None:
-                self._table = cached
-                return
+        # The table is a pure function of (scenario, alpha grid), and
+        # building it — per-alpha delivered-fidelity einsum chains — is the
+        # dominant per-run setup cost, so every backend keeps a cache and
+        # each FEU built against it reuses the first one's table.  The rows
+        # are immutable tuples; the FEU only ever reads them.
+        cache = self.backend.feu_table_cache
+        cache_key = (self.scenario, tuple(map(float, self.alpha_grid)))
+        cached = cache.get(cache_key)
+        if cached is not None:
+            self._table = cached
+            return
         for request_type in (RequestType.KEEP, RequestType.MEASURE):
             rows = []
             for alpha in self.alpha_grid:
@@ -134,8 +131,7 @@ class FidelityEstimationUnit:
                 rows.append((float(alpha), heralded, delivered,
                              model.success_probability))
             self._table[request_type] = rows
-        if cache is not None:
-            cache[cache_key] = self._table
+        cache[cache_key] = self._table
 
     def estimate_for_fidelity(self, min_fidelity: float,
                               request_type: RequestType) -> Optional[FidelityEstimate]:

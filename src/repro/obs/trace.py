@@ -6,7 +6,7 @@ layers (engine, MHP/EGP, swap-ASAP) plus per-kind event accounting
 wall-clock readings, thread ids, or memory addresses, so the trace of a
 ``(spec, seed)`` pair is bit-identical across event engines
 (heap/calendar/ladder), across backends with equivalent physics, and
-across solo vs cohort execution — which makes traces diffable and a
+across a warm vs fresh backend — which makes traces diffable and a
 sound input for the planned commutativity analysis.
 
 The zero-cost default is *no tracer at all*: instrumented code holds a

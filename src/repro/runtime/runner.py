@@ -154,17 +154,9 @@ class SimulationRun:
         self.network.run(duration)
         return self.finalize(duration)
 
-    # The start / advance_to / finalize split lets a cohort runner
-    # interleave many simulations in one process (repro.runtime.batch):
-    # each member's engine is independent, so slicing its advancement into
-    # steps composes to exactly the same run as one run(duration) call.
     def start(self) -> None:
-        """Begin the workload; the run can then be advanced incrementally."""
+        """Begin the workload."""
         self.generator.start()
-
-    def advance_to(self, time: float) -> None:
-        """Advance the simulation to absolute simulated ``time``."""
-        self.network.run_until(time)
 
     def finalize(self, duration: float) -> RunResult:
         """Collect the result after the run has reached ``duration``."""

@@ -19,8 +19,8 @@ Design points:
   handles never cross the process boundary.
 * **Resume** — with a ``cache_dir``, each completed scenario is written to
   disk keyed by a hash of everything that determines its result (workload,
-  scheduler, seed, duration, batch size).  Re-running an interrupted sweep
-  skips the finished scenarios.
+  scheduler, seed, duration, attempt batch size).  Re-running an
+  interrupted sweep skips the finished scenarios.
 * **Fault isolation** — a scenario that raises inside a worker is reported
   as a failed outcome instead of poisoning the pool; the rest of the sweep
   completes.
@@ -150,12 +150,6 @@ class ScenarioOutcome:
     engine: str = field(default="heap", compare=False)
     wall_time: float = field(default=0.0, compare=False)
     from_cache: bool = field(default=False, compare=False)
-    #: Cohort size when the scenario ran inside a vectorized cohort
-    #: (``None`` for the solo path).  Provenance like ``engine`` — the
-    #: results are bit-identical either way, so it is excluded from
-    #: comparison; recorded so cost models can learn batched throughput
-    #: separately from solo throughput.
-    cohort: Optional[int] = field(default=None, compare=False)
     #: Per-link hop digests of a topology run (see
     #: :attr:`repro.runtime.runner.RunResult.hops`); ``None`` for
     #: single-link scenarios.  Plain data — participates in equality like
@@ -197,7 +191,6 @@ class ScenarioOutcome:
             engine=data.get("engine", "heap"),
             wall_time=data.get("wall_time", 0.0),
             from_cache=data.get("from_cache", False),
-            cohort=data.get("cohort"),
             hops=data.get("hops"),
             end_to_end=data.get("end_to_end"),
             topology=data.get("topology"),
@@ -369,30 +362,12 @@ def execute_scenario(spec: ScenarioSpec, seed: int, duration: float,
                                 traceback.format_exc(), started)
 
 
-def _execute_scenario(payload: tuple[int, ScenarioSpec, int, float],
-                      ) -> tuple[int, ScenarioOutcome]:
+def _execute_scenario(
+        payload: tuple[int, ScenarioSpec, int, float, Optional[GuardPolicy]],
+) -> tuple[int, ScenarioOutcome]:
     """Pool-worker wrapper around :func:`execute_scenario`."""
-    index, spec, seed, duration = payload
-    return index, execute_scenario(spec, seed, duration)
-
-
-def _execute_task(task: tuple) -> list[tuple[int, ScenarioOutcome]]:
-    """Pool-worker dispatcher for solo scenarios and whole cohorts.
-
-    ``("solo", payload)`` runs one scenario; ``("cohort", payloads)`` runs
-    a list of payloads as one vectorized cohort in this process.  Tasks
-    optionally carry a third :class:`GuardPolicy` element (two-tuples stay
-    valid so queued pre-guard payloads keep working).  Either way the
-    result is a list of ``(index, outcome)`` pairs.
-    """
-    kind, payload = task[0], task[1]
-    guard = task[2] if len(task) > 2 else None
-    if kind == "solo":
-        index, spec, seed, duration = payload
-        return [(index, execute_scenario(spec, seed, duration, guard=guard))]
-    from repro.runtime.batch import execute_cohort
-
-    return execute_cohort(payload, guard=guard)
+    index, spec, seed, duration, guard = payload
+    return index, execute_scenario(spec, seed, duration, guard=guard)
 
 
 class SweepRunner:
@@ -426,14 +401,6 @@ class SweepRunner:
         keys get the *same* derived seed (see :func:`derive_keyed_seed`),
         which makes e.g. scheduler comparisons paired.  Default: every
         scenario gets its own index-derived seed.
-    batch_size:
-        Cohort size for vectorized execution (``repro.runtime.batch``).
-        With ``batch_size > 1``, pending scenarios that resolve to the
-        ``analytic`` backend are grouped (in scenario order) into cohorts
-        of up to this many members, each advanced as one vectorized unit;
-        everything else runs on the solo path.  Results, seeds, resume
-        caching and failure isolation are identical to ``batch_size=1`` —
-        a cohort sweep is field-for-field equal to a serial sweep.
     guard:
         Optional :class:`~repro.runtime.guard.GuardPolicy` supervising
         every execution: engine-level deadlines/budgets, result
@@ -450,7 +417,6 @@ class SweepRunner:
                  start_method: Optional[str] = None,
                  on_outcome: Optional[Callable[[ScenarioOutcome], None]] = None,
                  seed_key: Optional[Callable[[ScenarioSpec], object]] = None,
-                 batch_size: int = 1,
                  guard: Optional[GuardPolicy] = None,
                  ) -> None:
         self.scenarios = list(scenarios)
@@ -472,7 +438,6 @@ class SweepRunner:
         self._cache_report = CacheReport()
         self.on_outcome = on_outcome
         self.seed_key = seed_key
-        self.batch_size = max(1, int(batch_size))
         self.guard = guard
         if start_method is None:
             available = multiprocessing.get_all_start_methods()
@@ -562,9 +527,6 @@ class SweepRunner:
                              outcome.events_processed)
             registry.counter("repro_sweep_events_elided_total",
                              outcome.events_elided)
-            if outcome.cohort:
-                registry.observe("repro_sweep_cohort_occupancy",
-                                 outcome.cohort)
 
         seeds = self.scenario_seeds()
         outcomes: list[Optional[ScenarioOutcome]] = [None] * len(self.scenarios)
@@ -600,21 +562,20 @@ class SweepRunner:
 
         def execute(payloads: list[tuple[int, ScenarioSpec, int, float]],
                     ) -> None:
-            tasks = self._build_tasks(payloads)
+            tasks = [(*payload, self.guard) for payload in payloads]
             if self.guard is not None:
                 for payload in payloads:
                     attempts[payload[0]] = attempts.get(payload[0], 0) + 1
             if self.workers == 1 or len(tasks) == 1:
                 for task in tasks:
-                    for index, outcome in _execute_task(task):
-                        record(index, outcome)
+                    record(*_execute_scenario(task))
             else:
                 context = multiprocessing.get_context(self.start_method)
                 processes = min(self.workers, len(tasks))
                 with context.Pool(processes=processes) as pool:
-                    for pairs in pool.imap_unordered(_execute_task, tasks):
-                        for index, outcome in pairs:
-                            record(index, outcome)
+                    for index, outcome in pool.imap_unordered(
+                            _execute_scenario, tasks):
+                        record(index, outcome)
 
         if pending:
             execute(pending)
@@ -700,33 +661,6 @@ class SweepRunner:
             registry.counter("repro_sweep_quarantined_total",
                              status=last.status)
         record(index, final)
-
-    def _build_tasks(self, pending: list[tuple[int, ScenarioSpec, int, float]],
-                     ) -> list[tuple]:
-        """Partition pending payloads into solo and cohort tasks.
-
-        Cohorts are formed over the analytic scenarios in scenario order;
-        a chunk of one falls back to the solo path (nothing to share).
-        Each task carries the runner's guard (``None`` when unguarded).
-        """
-        if self.batch_size <= 1:
-            return [("solo", payload, self.guard) for payload in pending]
-        from repro.runtime.batch import cohortable
-
-        tasks: list[tuple] = []
-        eligible: list[tuple[int, ScenarioSpec, int, float]] = []
-        for payload in pending:
-            if cohortable(payload[1]):
-                eligible.append(payload)
-            else:
-                tasks.append(("solo", payload, self.guard))
-        for start in range(0, len(eligible), self.batch_size):
-            chunk = eligible[start:start + self.batch_size]
-            if len(chunk) == 1:
-                tasks.append(("solo", chunk[0], self.guard))
-            else:
-                tasks.append(("cohort", chunk, self.guard))
-        return tasks
 
 
 def run_sweep(scenarios: Sequence[ScenarioSpec], duration: float,

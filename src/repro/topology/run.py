@@ -82,8 +82,9 @@ class TopologyRun:
     """One complete multi-link simulation of a topology.
 
     Mirrors :class:`~repro.runtime.runner.SimulationRun` (including the
-    ``start`` / ``advance_to`` / ``finalize`` split) so the sweep layer can
-    treat single-link and topology scenarios uniformly.  Chains accept
+    ``start`` / ``finalize`` pair) so the sweep layer can treat single-link
+    and topology scenarios uniformly; ``advance_to`` additionally lets a
+    caller step the shared engine in slices.  Chains accept
     create-and-keep workloads only — a measure-directly request consumes the
     electron at attempt time and leaves nothing to swap.
     """

@@ -3,7 +3,7 @@
 Covers the engine's deterministic event budget and wall-clock deadline,
 ``GuardPolicy`` round-trips, result validation, the quarantine store, the
 scenario fault plan, the ``SweepRunner`` retry/quarantine loop (including
-cohort degradation and resume), every failure status through all three
+resume), every failure status through all three
 result sinks, and the cluster-side retry budget: ``record_failure``
 charging, repeated-lease-death quarantine, the serve ``fail`` op, and the
 frame-rejection regression (oversized / garbage frames must get structured
@@ -272,20 +272,6 @@ class TestGuardedSweep:
                               cache_dir=tmp_path).run()
         assert resumed.outcomes == result.outcomes
         assert all(o.from_cache for o in resumed.outcomes)
-
-    def test_cohort_degrades_failing_members_to_solo(
-            self, tmp_path, monkeypatch):
-        specs = grid()
-        baseline = run_sweep(specs, DURATION, master_seed=21)
-        plan = ScenarioFaultPlan(oom=frozenset({specs[2].name}))
-        monkeypatch.setenv(SCENARIO_FAULTS_ENV, plan.to_env())
-        guard = GuardPolicy(max_events=200_000, max_attempts=2)
-        result = SweepRunner(specs, DURATION, master_seed=21, guard=guard,
-                             batch_size=4, cache_dir=tmp_path).run()
-        assert result.quarantined_indices == [2]
-        survivors = [o for i, o in enumerate(result.outcomes) if i != 2]
-        assert survivors == [o for i, o in enumerate(baseline.outcomes)
-                             if i != 2]
 
 
 # --------------------------------------------------------------------------- #

@@ -7,7 +7,7 @@ The load-bearing guarantees:
   ``(time, name)`` trace are bit-identical with observability on or off.
 * **Trace determinism** — the structured trace of a ``(spec, seed)``
   pair is identical across event engines (heap/calendar/ladder) and
-  byte-identical across solo vs cohort execution.
+  byte-identical across a warm vs fresh backend.
 * **Telemetry** — cluster workers ship their metrics registry through
   the idempotent ``telemetry`` transport op and the coordinator merges
   the per-worker snapshots into ``SweepResult.telemetry``.
@@ -23,6 +23,7 @@ import pytest
 from repro.cluster import ClusterCoordinator, ClusterWorker, FilesystemTransport
 from repro.cluster.coordinator import TELEMETRY_DIR
 from repro.cluster.transport import IDEMPOTENT_OPS
+from repro.backends import AnalyticBackend
 from repro.obs import (
     DEFAULT_OBS_DIR,
     MetricsRegistry,
@@ -38,7 +39,6 @@ from repro.obs.logconf import configure_logging
 from repro.obs.report import main as report_main
 from repro.obs.trace import read_jsonl
 from repro.runtime import ScenarioSpec, single_kind_scenarios
-from repro.runtime.batch import execute_cohort
 from repro.runtime.runner import SimulationRun
 from repro.runtime.sweep import ScenarioOutcome, SweepRunner, execute_scenario
 
@@ -159,29 +159,31 @@ class TestTraceDeterminism:
         _, second = traced_run(spec, seed=5)
         assert first.tracer.to_dict() == second.tracer.to_dict()
 
-    def test_solo_vs_cohort_traces_byte_identical(self, monkeypatch, tmp_path):
+    def test_warm_vs_fresh_traces_byte_identical(self, monkeypatch, tmp_path):
         specs = grid(2)
         seeds = [31, 32]
-        solo_dir = tmp_path / "solo"
-        cohort_dir = tmp_path / "cohort"
+        warm_dir = tmp_path / "warm"
+        fresh_dir = tmp_path / "fresh"
         monkeypatch.setenv("REPRO_OBS", "trace")
 
-        monkeypatch.setenv("REPRO_OBS_DIR", str(solo_dir))
-        for spec, seed in zip(specs, seeds):
-            execute_scenario(spec, seed, DURATION)
+        # Two passes on the process-wide backend: the second runs every
+        # scenario against FEU tables the first pass already built.
+        monkeypatch.setenv("REPRO_OBS_DIR", str(warm_dir))
+        for _ in range(2):
+            for spec, seed in zip(specs, seeds):
+                assert execute_scenario(spec, seed, DURATION).ok
 
-        monkeypatch.setenv("REPRO_OBS_DIR", str(cohort_dir))
-        payloads = [(i, spec, seed, DURATION)
-                    for i, (spec, seed) in enumerate(zip(specs, seeds))]
-        outcomes = execute_cohort(payloads)
-        assert all(outcome.ok for _, outcome in outcomes)
+        monkeypatch.setenv("REPRO_OBS_DIR", str(fresh_dir))
+        for spec, seed in zip(specs, seeds):
+            result = spec.run(DURATION, seed=seed, backend=AnalyticBackend())
+            result.obs.write_artifacts(f"{spec.name}-seed{seed}")
 
         for spec, seed in zip(specs, seeds):
             name = f"{spec.name}-seed{seed}"
-            solo = (solo_dir / name / "trace.jsonl").read_bytes()
-            cohort = (cohort_dir / name / "trace.jsonl").read_bytes()
-            assert solo == cohort
-            records, summary = read_jsonl(solo_dir / name / "trace.jsonl")
+            warm = (warm_dir / name / "trace.jsonl").read_bytes()
+            fresh = (fresh_dir / name / "trace.jsonl").read_bytes()
+            assert warm == fresh
+            records, summary = read_jsonl(warm_dir / name / "trace.jsonl")
             assert summary is not None and records
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import types
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from repro.core.messages import Priority
 from repro.hardware.parameters import lab_scenario
 from repro.quantum.states import BellIndex, bell_state
 from repro.runtime import ScenarioSpec, SweepRunner, WorkloadSpec, chain_grid, star_grid
-from repro.runtime.batch import cohortable
 from repro.runtime.cache import ResumeCache
 from repro.runtime.sweep import ScenarioOutcome
 from repro.topology import (
@@ -260,15 +258,6 @@ class TestSwitchedStar:
 
 
 class TestSweepIntegration:
-    def test_cohortable_rejects_topology_scenarios(self):
-        spec = chain_spec(3, backend="analytic")
-        assert not cohortable(spec)
-        single = ScenarioSpec(
-            name="solo", scenario=lab_scenario(),
-            workload=(WorkloadSpec(priority=Priority.MD, load_fraction=0.9),),
-            backend="analytic")
-        assert cohortable(single)
-
     def test_chain_sweep_serial_equals_sharded(self, tmp_path):
         from repro.cluster import ClusterCoordinator
 
@@ -341,53 +330,6 @@ class TestResumeCacheTopology:
         assert outcome is not None and outcome.from_cache
 
 
-class TestAutoBatchSize:
-    def _plan(self, specs, cache_dir):
-        return types.SimpleNamespace(specs=specs, cache_dir=str(cache_dir))
-
-    def test_derives_from_recorded_cohort_speedup(self, tmp_path):
-        from repro.cluster.planner import RecordedCostModel
-        from repro.cluster.worker import derive_batch_size
-        from repro.runtime.cache import cost_model_path
-
-        spec = ScenarioSpec(
-            name="solo", scenario=lab_scenario(),
-            workload=(WorkloadSpec(priority=Priority.MD, load_fraction=0.9),),
-            backend="analytic")
-        model = RecordedCostModel()
-        model._rates[("solo", "analytic")] = [1.2]
-        model._rates[("solo", "analytic#cohort")] = [0.3]  # 4x speedup
-        model.save(cost_model_path(tmp_path))
-        assert derive_batch_size(self._plan([spec], tmp_path)) == 4
-
-    def test_defaults_to_solo_without_history(self, tmp_path):
-        from repro.cluster.worker import derive_batch_size
-
-        spec = ScenarioSpec(
-            name="solo", scenario=lab_scenario(),
-            workload=(WorkloadSpec(priority=Priority.MD, load_fraction=0.9),),
-            backend="analytic")
-        assert derive_batch_size(self._plan([spec], tmp_path)) == 1
-        assert derive_batch_size(
-            types.SimpleNamespace(specs=[spec], cache_dir=None)) == 1
-
-    def test_speedup_is_clamped(self, tmp_path):
-        from repro.cluster.planner import RecordedCostModel
-        from repro.cluster.worker import MAX_AUTO_BATCH_SIZE, derive_batch_size
-        from repro.runtime.cache import cost_model_path
-
-        spec = ScenarioSpec(
-            name="solo", scenario=lab_scenario(),
-            workload=(WorkloadSpec(priority=Priority.MD, load_fraction=0.9),),
-            backend="analytic")
-        model = RecordedCostModel()
-        model._rates[("solo", "analytic")] = [100.0]
-        model._rates[("solo", "analytic#cohort")] = [1.0]
-        model.save(cost_model_path(tmp_path))
-        assert derive_batch_size(
-            self._plan([spec], tmp_path)) == MAX_AUTO_BATCH_SIZE
-
-
 class TestCostModelLinks:
     def test_static_cost_scales_with_links(self):
         from repro.cluster.planner import StaticCostModel
@@ -397,11 +339,3 @@ class TestCostModelLinks:
         chain3 = chain_spec(3)
         assert model.estimate(chain5, 1.0) > model.estimate(chain3, 1.0)
         assert chain5.cost_features()["links"] == 4
-
-    def test_no_cohort_discount_for_topologies(self):
-        from repro.cluster.planner import StaticCostModel
-
-        model = StaticCostModel()
-        spec = chain_spec(3, backend="analytic")
-        assert model.cohort_estimate(spec, 1.0, 8) == model.estimate(spec,
-                                                                     1.0)
