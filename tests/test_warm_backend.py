@@ -25,11 +25,12 @@ from repro.backends import AnalyticBackend, DensityMatrixBackend, get_backend
 from repro.cluster.planner import RecordedCostModel, plan_shards
 from repro.cluster.sinks import ColumnarResultSink, JsonlResultSink, load_results
 from repro.core.feu import FidelityEstimationUnit
+from repro.core.messages import Priority
 from repro.hardware.parameters import lab_scenario
-from repro.runtime import SweepRunner, chain_grid
+from repro.runtime import ScenarioSpec, SweepRunner, WorkloadSpec, chain_grid
 from repro.runtime.cache import ResumeCache
 from repro.runtime.scenarios import single_kind_scenarios
-from repro.runtime.sweep import execute_scenario
+from repro.runtime.sweep import ScenarioOutcome, execute_scenario
 
 DURATION = 0.2
 
@@ -40,6 +41,21 @@ def mixed_grid(backend: str) -> list:
                   include_md_k255=False, backend=backend)
     return (single_kind_scenarios("Lab", kinds=("NL", "CK", "MD"), **common)
             + single_kind_scenarios("QL2020", kinds=("CK", "MD"), **common))
+
+
+def analytic_grid(count: int) -> list:
+    """First ``count`` scenarios of the analytic long-run grid (both
+    hardware setups, so counts beyond one setup's 63 are available)."""
+    specs = (single_kind_scenarios("Lab", backend="analytic")
+             + single_kind_scenarios("QL2020", backend="analytic"))
+    assert len(specs) >= count
+    return specs[:count]
+
+
+def assert_run_equals(result, reference):
+    assert result.summary == reference.summary
+    assert result.events_processed == reference.events_processed
+    assert result.requests_issued == reference.requests_issued
 
 
 def fresh_outcome(monkeypatch, spec, seed, duration=DURATION):
@@ -103,6 +119,86 @@ class TestWarmEqualsFresh:
         assert_identical(warm, fresh)
         assert warm.end_to_end is not None and warm.hops
 
+    @pytest.mark.parametrize("size", [1, 7, 64])
+    def test_grid_prefix_on_warm_singleton_equals_fresh_runs(self, size):
+        specs = analytic_grid(size)
+        seeds = [9000 + index for index in range(size)]
+        warm = [spec.run(DURATION, seed=seed)
+                for spec, seed in zip(specs, seeds)]
+        for spec, seed, result in zip(specs, seeds, warm):
+            assert_run_equals(result, spec.run(DURATION, seed=seed,
+                                               backend=AnalyticBackend()))
+
+    def test_same_seed_repeats_and_other_seed_differs(self):
+        # The warm cache holds tables only, never random state: a repeated
+        # (spec, seed) reproduces itself and a new seed draws new physics.
+        spec = analytic_grid(1)[0]
+        twin_a = spec.run(DURATION, seed=42)
+        twin_b = spec.run(DURATION, seed=42)
+        other = spec.run(DURATION, seed=43)
+        assert_run_equals(twin_a, twin_b)
+        assert (other.summary != twin_a.summary
+                or other.events_processed != twin_a.events_processed)
+
+    def test_mixed_durations_on_warm_singleton_equal_fresh_runs(self):
+        specs = analytic_grid(3)
+        for spec, seed, duration in zip(specs, (1, 2, 3), (0.07, 0.31, 0.2)):
+            assert_run_equals(spec.run(duration, seed=seed),
+                              spec.run(duration, seed=seed,
+                                       backend=AnalyticBackend()))
+
+    def test_explicit_backend_instance_reuse_is_exact(self):
+        # A caller-owned instance passed to consecutive runs warms up just
+        # like the named singleton does.
+        specs = analytic_grid(2)
+        backend = AnalyticBackend()
+        for spec, seed in zip(specs, (5, 6)):
+            spec.run(DURATION, seed=seed, backend=backend)
+        assert len(backend.feu_table_cache) == 1
+        for spec, seed in zip(specs, (5, 6)):
+            assert_run_equals(spec.run(DURATION, seed=seed, backend=backend),
+                              spec.run(DURATION, seed=seed,
+                                       backend=AnalyticBackend()))
+
+
+class TestFailureIsolation:
+    def test_failing_scenario_leaves_warm_backend_intact(self, monkeypatch):
+        good = analytic_grid(2)
+        broken = ScenarioSpec(
+            name="broken", scenario=lab_scenario(),
+            workload=(WorkloadSpec(priority=Priority.MD, load_fraction=0.9),),
+            scheduler="NoSuchScheduler", backend="analytic")
+        first = execute_scenario(good[0], 11, DURATION)
+        failed = execute_scenario(broken, 12, DURATION)
+        second = execute_scenario(good[1], 13, DURATION)
+        assert failed.status == "error"
+        assert "NoSuchScheduler" in failed.error
+        assert_identical(first, fresh_outcome(monkeypatch, good[0], 11))
+        assert_identical(second, fresh_outcome(monkeypatch, good[1], 13))
+
+    def test_interrupted_table_build_caches_nothing(self, monkeypatch):
+        backend = AnalyticBackend()
+        real = backend.attempt_model
+        calls = []
+
+        def flaky(scenario, alpha):
+            calls.append(alpha)
+            if len(calls) == 3:
+                raise MemoryError("injected")
+            return real(scenario, alpha)
+
+        monkeypatch.setattr(backend, "attempt_model", flaky)
+        with pytest.raises(MemoryError):
+            FidelityEstimationUnit(lab_scenario(), backend=backend)
+        assert backend.feu_table_cache == {}
+        # The next FEU builds the whole table from scratch, equal to one
+        # built on an untouched backend.
+        rebuilt = FidelityEstimationUnit(lab_scenario(), backend=backend)
+        reference = FidelityEstimationUnit(lab_scenario(),
+                                           backend=AnalyticBackend())
+        assert rebuilt._table == reference._table
+        assert list(backend.feu_table_cache.values()) == [rebuilt._table]
+
 
 class TestSweepOrder:
     def test_shuffled_and_sorted_grids_agree(self, monkeypatch):
@@ -124,6 +220,65 @@ class TestSweepOrder:
         in_order, out_of_order = sweep(specs), sweep(shuffled)
         assert in_order == out_of_order
         assert all(outcome.ok for outcome in in_order.values())
+
+
+class TestWarmSweeps:
+    def grid(self):
+        specs = analytic_grid(6)
+        # A density scenario on the same hardware: its tables live in the
+        # density singleton and never mix with the analytic ones.
+        density = ScenarioSpec(name="density_straggler",
+                               scenario=specs[0].scenario,
+                               workload=specs[0].workload, backend="density")
+        return specs + [density]
+
+    def test_mixed_backend_sweep_equals_fresh_runs(self, monkeypatch):
+        result = SweepRunner(self.grid(), DURATION, master_seed=77).run()
+        for spec, outcome in zip(self.grid(), result.outcomes):
+            assert_identical(outcome, fresh_outcome(monkeypatch, spec,
+                                                    outcome.seed))
+        assert result.outcomes[-1].backend == "density"
+
+    def test_pool_sweep_equals_serial_sweep(self):
+        # Each pool process warms its own singletons.
+        specs = self.grid()
+        serial = SweepRunner(specs, DURATION, master_seed=77).run()
+        pooled = SweepRunner(specs, DURATION, master_seed=77,
+                             workers=2).run()
+        assert pooled.outcomes == serial.outcomes
+
+    def test_sweep_resumes_from_cache(self, tmp_path):
+        specs = analytic_grid(4)
+        first = SweepRunner(specs, DURATION, master_seed=3,
+                            cache_dir=tmp_path).run()
+        rerun = SweepRunner(specs, DURATION, master_seed=3,
+                            cache_dir=tmp_path)
+        second = rerun.run()
+        assert all(outcome.from_cache for outcome in second.outcomes)
+        assert second.outcomes == first.outcomes
+        assert rerun.cache_report().counts()["hits"] == 4
+
+    def test_cluster_workers_match_serial_sweep(self, tmp_path, monkeypatch):
+        from repro.cluster import ClusterCoordinator, ClusterWorker
+
+        specs = analytic_grid(12)
+        serial = SweepRunner(specs, DURATION, master_seed=77).run()
+        # Both in-process workers share one fresh singleton.
+        monkeypatch.setattr(backends, "_INSTANCES", {})
+        coordinator = ClusterCoordinator(
+            specs, DURATION, tmp_path / "cluster", master_seed=77,
+            num_shards=2, lease_timeout=120.0)
+        coordinator.write_plan()
+        workers = [ClusterWorker(coordinator.cluster_dir, "w0", shard=0),
+                   ClusterWorker(coordinator.cluster_dir, "w1", shard=1)]
+        for _ in range(100):
+            if all(worker.step() is None for worker in workers):
+                break
+        for worker in workers:
+            worker.close()
+        assert coordinator.is_complete()
+        assert coordinator.merge().outcomes == serial.outcomes
+        assert get_backend("analytic").feu_table_cache
 
 
 class TestLegacyCohortRecords:
@@ -187,3 +342,14 @@ class TestLegacyCohortRecords:
             assert loaded.estimate(other, 1.0) == model.estimate(other, 1.0)
         assert (plan_shards(specs, 2, 1.0, cost_model=loaded)
                 == plan_shards(specs, 2, 1.0, cost_model=model))
+
+    def test_legacy_cohort_outcome_is_observed_as_solo(self, run):
+        spec, outcome = run
+        data = outcome.to_dict()
+        data["cohort"] = 8
+        legacy = ScenarioOutcome.from_dict(data)
+        assert legacy == outcome
+        model = RecordedCostModel()
+        assert model.observe(legacy)
+        assert model.recorded_rate(spec) == pytest.approx(
+            outcome.wall_time / DURATION)
