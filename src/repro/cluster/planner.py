@@ -66,12 +66,6 @@ class StaticCostModel(CostModel):
     BACKEND_FACTORS = {"density": 6.0, "analytic-exact": 6.0, "analytic": 1.0}
     DEFAULT_BACKEND_FACTOR = 6.0
 
-    #: Relative per-event cost factor of the event engine (see
-    #: ``repro.sim.queues``): the calendar/ladder queues shave the queue
-    #: layer's share of the run.  Only the *ranking* matters for LPT.
-    ENGINE_FACTORS = {"heap": 1.0, "calendar": 0.7, "ladder": 0.8}
-    DEFAULT_ENGINE_FACTOR = 1.0
-
     def estimate(self, spec: ScenarioSpec, duration: float) -> float:
         features = spec.cost_features()
         units = 0.0
@@ -85,14 +79,11 @@ class StaticCostModel(CostModel):
             units += workload["load"] * (1.0 + workload["pairs"]) * kind
         backend = self.BACKEND_FACTORS.get(spec.backend_name(),
                                            self.DEFAULT_BACKEND_FACTOR)
-        engine = self.ENGINE_FACTORS.get(features.get("engine", "heap"),
-                                         self.DEFAULT_ENGINE_FACTOR)
         # A topology run simulates one full link stack per link on a shared
         # engine (every link re-runs the workload), so cost scales with the
         # link count.
         links = max(1, int(features.get("links", 1)))
-        return (max(duration, 1e-9) * max(units, 1e-6) * backend * engine
-                * links)
+        return max(duration, 1e-9) * max(units, 1e-6) * backend * links
 
 
 class RecordedCostModel(CostModel):

@@ -49,11 +49,9 @@ class LinkLayerNetwork:
         name, an instance, or ``None`` for the environment default
         (``REPRO_BACKEND``, falling back to ``"density"``).
     event_queue:
-        Event-engine selection for the simulation engine (ignored when an
-        ``engine`` instance is passed): an engine name (``"heap"``,
-        ``"calendar"``, ``"ladder"``), an
-        :class:`~repro.sim.queues.EventQueue` instance, or ``None`` for the
-        environment default (``REPRO_ENGINE``, falling back to ``"heap"``).
+        :class:`~repro.sim.queues.EventQueue` instance for a new simulation
+        engine (ignored when an ``engine`` instance is passed), or ``None``
+        for a fresh heap.
     elide_watchdog:
         Forwarded to both EGPs (skip reply watchdogs that provably cannot
         fire); ``None`` elides exactly when the scenario's frame-loss

@@ -4,15 +4,19 @@ A :class:`Tracer` collects *sim-time keyed* records from the simulation
 layers (engine, MHP/EGP, swap-ASAP) plus per-kind event accounting
 (scheduled / executed / cancelled / elided).  Records never contain
 wall-clock readings, thread ids, or memory addresses, so the trace of a
-``(spec, seed)`` pair is bit-identical across event engines
-(heap/calendar/ladder), across backends with equivalent physics, and
-across a warm vs fresh backend — which makes traces diffable and a
-sound input for the planned commutativity analysis.
+``(spec, seed)`` pair is bit-identical across repeat runs, across
+backends with equivalent physics, and across a warm vs fresh backend —
+which makes traces diffable and a sound input for the planned
+commutativity analysis.
+
+The tracer is the engine's only event log.  A subclass can record more
+per event by overriding the engine hooks; for example, logging
+``(engine.now, name)`` from :meth:`Tracer.on_executed` yields the full
+executed-event sequence of a run.
 
 The zero-cost default is *no tracer at all*: instrumented code holds a
 ``tracer`` attribute that is ``None`` unless observability is enabled
-and guards every emission with ``if tracer is not None`` — the exact
-pattern the engine already uses for its ``trace`` list.  A
+and guards every emission with ``if tracer is not None``.  A
 :data:`NULL_TRACER` is provided for callers that prefer unconditional
 calls over guards.
 """

@@ -2,12 +2,11 @@
 
 Each completed scenario is persisted as one JSON file keyed by a hash of the
 scenario *identity* (hardware, workload, scheduler, batch size) plus the
-derived seed and simulated duration, with the resolved physics backend and
-event engine as filename suffixes.  Keeping the cache version, backend and
-engine *out* of the hash — they were folded into it before PR 3 — means a
-stale or foreign entry is *found and reported* instead of silently missed: a
-sweep can tell the operator "skipped, written by cache version 2" rather
-than quietly recomputing.
+derived seed and simulated duration, with the resolved physics backend as
+the filename suffix.  Keeping the cache version and backend *out* of the
+hash means a stale or foreign entry is *found and reported* instead of
+silently missed: a sweep can tell the operator "skipped, written by cache
+version 2" rather than quietly recomputing.
 
 Skip reasons are logged through the ``repro.runtime.cache`` logger and
 surfaced via :class:`CacheReport` (see ``SweepRunner.cache_report()``).
@@ -47,7 +46,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sweep imports us)
 #: v8: guarded sweeps persist *failed* outcomes too, with an ``attempts``
 #: count in the wrapper payload, so retry budgets and quarantine decisions
 #: survive resumes (unguarded sweeps still cache only successes).
-CACHE_VERSION = 8
+#: v9: the event engine leaves the filename (back to
+#: ``<key>.<backend>.json``), the wrapper payload and the outcomes: one
+#: event queue remains, so there is nothing to record.  A v8
+#: ``<key>.<backend>.heap.json`` entry is reported as a skip, never served.
+CACHE_VERSION = 9
 
 #: Canonical filename of the persisted scenario cost model (see
 #: :class:`repro.cluster.planner.RecordedCostModel`): it lives next to the
@@ -100,7 +103,7 @@ def atomic_write_text(path: Path, text: str, durable: bool = False) -> None:
 def _topology_stamp(spec: "ScenarioSpec") -> Optional[dict]:
     """The topology recorded in (and checked against) a cache entry.
 
-    Like the backend and engine, the topology lives in the wrapper payload
+    Like the backend, the topology lives in the wrapper payload
     rather than the key hash: redefining a scenario's topology without
     renaming it then *finds* the stale entry and reports a skip instead of
     silently recomputing under a fresh key.
@@ -171,7 +174,7 @@ class ResumeCache:
     @staticmethod
     def key(spec: "ScenarioSpec", seed: int, duration: float) -> str:
         """Hash of everything that determines a scenario's result — except
-        the backend, engine and cache version, which live in the filename
+        the backend and cache version, which live in the filename
         and entry payload so that mismatches are detectable."""
         payload = {
             "identity": spec.identity_payload(),
@@ -184,14 +187,11 @@ class ResumeCache:
         return digest[:20]
 
     def path(self, spec: "ScenarioSpec", seed: int, duration: float,
-             backend: Optional[str] = None,
-             engine: Optional[str] = None) -> Path:
-        """Cache file for ``spec`` under the given (or resolved) backend and
-        event engine."""
+             backend: Optional[str] = None) -> Path:
+        """Cache file for ``spec`` under the given (or resolved) backend."""
         backend = backend or spec.backend_name()
-        engine = engine or spec.engine_name()
         return self.directory / (f"{self.key(spec, seed, duration)}"
-                                 f".{backend}.{engine}.json")
+                                 f".{backend}.json")
 
     # ------------------------------------------------------------------ #
     # Load / store
@@ -203,7 +203,7 @@ class ResumeCache:
 
         Returns ``(outcome, None)`` on a usable hit, ``(None, None)`` on a
         plain miss, and ``(None, reason)`` when an entry was found but had to
-        be skipped (wrong cache version, different backend or engine,
+        be skipped (wrong cache version, different backend or topology,
         corrupt, or a recorded failure).  Skips are logged.
 
         ``max_attempts`` is the guard's retry budget: a recorded failure
@@ -215,11 +215,10 @@ class ResumeCache:
         from repro.runtime.sweep import ScenarioOutcome
 
         backend = spec.backend_name()
-        engine = spec.engine_name()
-        path = self.path(spec, seed, duration, backend=backend, engine=engine)
+        path = self.path(spec, seed, duration, backend=backend)
         if not path.exists():
             reason = self._foreign_variant_reason(spec, seed, duration,
-                                                  backend, engine)
+                                                  backend)
             if reason is not None:
                 self._log_skip(spec.name, reason)
             return None, reason
@@ -243,12 +242,6 @@ class ResumeCache:
         if entry_backend != backend:
             reason = (f"cache entry written under backend "
                       f"{entry_backend!r}, this run resolves to {backend!r}")
-            self._log_skip(spec.name, reason)
-            return None, reason
-        entry_engine = data.get("engine")
-        if entry_engine != engine:
-            reason = (f"cache entry written under event engine "
-                      f"{entry_engine!r}, this run resolves to {engine!r}")
             self._log_skip(spec.name, reason)
             return None, reason
         expected_topology = _topology_stamp(spec)
@@ -289,7 +282,7 @@ class ResumeCache:
         """Attempts already charged against ``spec`` by previous runs.
 
         Reads the ``attempts`` count of a recorded failure for the same
-        cache identity (version, backend, engine); 0 when there is no such
+        cache identity (version, backend); 0 when there is no such
         entry.  Lets a resumed guarded sweep continue a retry budget
         instead of resetting it.
         """
@@ -302,8 +295,7 @@ class ResumeCache:
             return 0
         if data.get("cache_version") != CACHE_VERSION:
             return 0
-        if (data.get("backend") != spec.backend_name()
-                or data.get("engine") != spec.engine_name()):
+        if data.get("backend") != spec.backend_name():
             return 0
         attempts = data.get("attempts")
         return int(attempts) if isinstance(attempts, int) else 0
@@ -321,11 +313,10 @@ class ResumeCache:
         if not outcome.ok and attempts is None:
             return
         path = self.path(spec, outcome.seed, duration,
-                         backend=outcome.backend, engine=outcome.engine)
+                         backend=outcome.backend)
         payload = {
             "cache_version": CACHE_VERSION,
             "backend": outcome.backend,
-            "engine": outcome.engine,
             "topology": _topology_stamp(spec),
             "outcome": outcome.to_dict(),
         }
@@ -337,10 +328,10 @@ class ResumeCache:
     # Helpers
     # ------------------------------------------------------------------ #
     def _foreign_variant_reason(self, spec: "ScenarioSpec", seed: int,
-                                duration: float, backend: str,
-                                engine: str) -> Optional[str]:
-        """Report entries for the same scenario under *other* backends or
-        event engines (including pre-v4 entries without an engine suffix)."""
+                                duration: float,
+                                backend: str) -> Optional[str]:
+        """Report entries for the same scenario under *other* backends, or
+        under a v4–v8 ``<backend>.<engine>`` suffix."""
         stem = self.key(spec, seed, duration)
         siblings = sorted(self.directory.glob(f"{stem}.*.json"))
         if not siblings:
@@ -350,7 +341,7 @@ class ResumeCache:
             " + ".join(repr(part) for part in other.split("."))
             for other in others)
         return (f"cache entry exists only under {variants}, this run "
-                f"resolves to {backend!r} + {engine!r}")
+                f"resolves to {backend!r}")
 
     @staticmethod
     def _log_skip(scenario_name: str, reason: str) -> None:

@@ -30,15 +30,9 @@ class RunResult:
     seed: Optional[int] = None
     #: Resolved name of the physics backend that produced this result.
     backend: str = "density"
-    #: Resolved name of the event-engine (queue) implementation the run was
-    #: simulated on.  Engines are event-for-event equivalent, so this is
-    #: provenance, not part of the result identity — excluded from
-    #: comparison like the live handles below.
-    engine: str = field(default="heap", compare=False)
     #: Simulation events processed during the run — deterministic for a
     #: given (scenario, seed, backend), and the raw signal cost models and
-    #: benchmarks use to compare runs across machines.  Identical across
-    #: event engines (the equivalence suite pins this).
+    #: benchmarks use to compare runs across machines.
     events_processed: int = 0
     #: Events never scheduled thanks to outcome-preserving timer elision
     #: (PR 5/7): skipped watchdogs, no-op busy polls, collapsed reply
@@ -99,9 +93,8 @@ class SimulationRun:
         Physics backend for the whole run; a name, an instance, or ``None``
         for the environment default (``REPRO_BACKEND``).
     engine:
-        Event-engine selection for the simulation; a name (``"heap"``,
-        ``"calendar"``, ``"ladder"``), an ``EventQueue`` instance, or
-        ``None`` for the environment default (``REPRO_ENGINE``).
+        An ``EventQueue`` instance for the simulation engine, or ``None``
+        for a fresh heap.
     elide_watchdog:
         Forwarded to the EGPs; ``None`` skips reply watchdogs exactly when
         the scenario cannot lose classical frames.
@@ -168,7 +161,6 @@ class SimulationRun:
             requests_issued=self.generator.requests_issued,
             seed=self.seed,
             backend=self.network.backend.name,
-            engine=self.network.engine.queue_name,
             events_processed=self.network.engine.processed_events,
             events_elided=self.network.engine.elided_events,
             metrics=self.metrics,

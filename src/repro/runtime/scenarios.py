@@ -78,27 +78,22 @@ class ScenarioSpec:
     #: Kept as a string (not an instance) so specs stay picklable for sweep
     #: workers and hashable for the sweep cache.
     backend: Optional[str] = None
-    #: Event-engine (queue implementation) name; ``None`` resolves through
-    #: ``REPRO_ENGINE``.  A string for the same reasons as ``backend``.
-    engine: Optional[str] = None
     #: Multi-link network topology (:class:`repro.topology.Topology`);
     #: ``None`` keeps the classic single-link run.  When set, ``scenario``
     #: still names the per-link hardware used for display/cost features, but
     #: the per-link parameters come from the topology's link specs and the
     #: run dispatches to :class:`repro.topology.run.TopologyRun`.
     topology: Optional[Topology] = None
+    #: Not a dataclass field (no annotation): always ``None``, kept for
+    #: callers that still read ``spec.engine`` to build the run's event
+    #: queue, e.g. ``make_event_queue(spec.engine)``.
+    engine = None
 
     def backend_name(self) -> str:
         """The concrete backend name this spec resolves to right now."""
         from repro.backends import resolve_backend_name
 
         return resolve_backend_name(self.backend)
-
-    def engine_name(self) -> str:
-        """The concrete event-engine name this spec resolves to right now."""
-        from repro.sim.queues import resolve_engine_name
-
-        return resolve_engine_name(self.engine)
 
     # ------------------------------------------------------------------ #
     # Serialisation and identity (cluster plans, resume cache, cost models)
@@ -125,14 +120,17 @@ class ScenarioSpec:
             "seed": self.seed,
             "attempt_batch_size": self.attempt_batch_size,
             "backend": self.backend,
-            "engine": self.engine,
             "topology": (None if self.topology is None
                          else self.topology.to_dict()),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioSpec":
-        """Rebuild a spec serialised with :meth:`to_dict`."""
+        """Rebuild a spec serialised with :meth:`to_dict`.
+
+        Keys this version no longer reads, such as the ``engine`` of older
+        plans, are ignored.
+        """
         workload = tuple(
             _build_dataclass(WorkloadSpec,
                              {**entry, "priority": Priority[entry["priority"]]})
@@ -145,7 +143,6 @@ class ScenarioSpec:
             seed=data.get("seed", 12345),
             attempt_batch_size=data.get("attempt_batch_size", 1),
             backend=data.get("backend"),
-            engine=data.get("engine"),
             topology=(Topology.from_dict(data["topology"])
                       if data.get("topology") else None),
         )
@@ -153,11 +150,10 @@ class ScenarioSpec:
     def identity_payload(self) -> dict:
         """Everything that defines the scenario *itself*.
 
-        Excludes the backend and the event engine (the same scenario
-        simulated under a different physics backend or queue implementation
-        shares an identity; the resume cache and cost models key on
-        ``(identity, backend)`` — with the engine recorded alongside — so
-        those dimensions stay detectable), the legacy ``seed`` field
+        Excludes the backend (the same scenario simulated under a different
+        physics backend shares an identity; the resume cache and cost models
+        key on ``(identity, backend)``, so that dimension stays
+        detectable), the legacy ``seed`` field
         (sweeps derive per-scenario seeds from the master seed), and the
         topology — which the resume cache records in the entry payload
         (name + content hash) so a topology redefinition under an unchanged
@@ -165,7 +161,6 @@ class ScenarioSpec:
         """
         payload = self.to_dict()
         payload.pop("backend")
-        payload.pop("engine")
         payload.pop("seed")
         payload.pop("topology")
         return payload
@@ -194,7 +189,6 @@ class ScenarioSpec:
             "hardware": self.scenario.name,
             "expected_cycles_k": self.scenario.timing.expected_cycles_per_attempt_k,
             "batch": self.attempt_batch_size,
-            "engine": self.engine_name(),
             # Multi-link topologies simulate one full MHP/EGP stack per link
             # on a shared engine, so cost scales roughly linearly in links.
             "links": 1 if self.topology is None else len(self.topology.links),
@@ -209,10 +203,12 @@ class ScenarioSpec:
     def run(self, duration: float, seed: Optional[int] = None,
             attempt_batch_size: Optional[int] = None,
             backend: Optional[str] = None,
-            engine: Optional[str] = None,
+            engine=None,
             guard=None) -> RunResult:
         """Build and run the scenario for ``duration`` simulated seconds.
 
+        ``engine`` is an :class:`repro.sim.queues.EventQueue` instance for
+        the run's simulation engine, or ``None`` for a fresh heap.
         ``guard`` (a :class:`repro.runtime.guard.GuardPolicy`) arms the
         run's event engine with an event budget / wall deadline before the
         first event executes; exceeding either raises
@@ -229,7 +225,7 @@ class ScenarioSpec:
                 seed=self.seed if seed is None else seed,
                 attempt_batch_size=batch,
                 backend=backend if backend is not None else self.backend,
-                engine=engine if engine is not None else self.engine)
+                engine=engine)
             if guard is not None:
                 guard.install(simulation.network.engine)
             return simulation.run(duration)
@@ -239,8 +235,7 @@ class ScenarioSpec:
                                    attempt_batch_size=batch,
                                    backend=backend if backend is not None
                                    else self.backend,
-                                   engine=engine if engine is not None
-                                   else self.engine)
+                                   engine=engine)
         if guard is not None:
             guard.install(simulation.network.engine)
         return simulation.run(duration)
@@ -263,7 +258,6 @@ def single_kind_scenarios(hardware: str = "Lab",
                           include_md_k255: bool = True,
                           attempt_batch_size: int = 1,
                           backend: Optional[str] = None,
-                          engine: Optional[str] = None,
                           ) -> list[ScenarioSpec]:
     """The single-kind scenario grid of the long runs (Section 6.2).
 
@@ -294,7 +288,7 @@ def single_kind_scenarios(hardware: str = "Lab",
                     specs.append(ScenarioSpec(
                         name=name, scenario=config, workload=(workload,),
                         attempt_batch_size=attempt_batch_size,
-                        backend=backend, engine=engine))
+                        backend=backend))
     return specs
 
 
@@ -303,7 +297,6 @@ def mixed_kind_scenarios(hardware: str = "QL2020",
                          schedulers: tuple[str, ...] = ("FCFS", "HigherWFQ"),
                          attempt_batch_size: int = 1,
                          backend: Optional[str] = None,
-                         engine: Optional[str] = None,
                          ) -> list[ScenarioSpec]:
     """Mixed-priority scenarios of Section 6.3 / Appendix C.2."""
     config = _hardware(hardware)
@@ -316,13 +309,12 @@ def mixed_kind_scenarios(hardware: str = "QL2020",
                                       workload=pattern.specs,
                                       scheduler=scheduler,
                                       attempt_batch_size=attempt_batch_size,
-                                      backend=backend, engine=engine))
+                                      backend=backend))
     return specs
 
 
 def table1_scenarios(hardware: str = "QL2020",
-                     backend: Optional[str] = None,
-                     engine: Optional[str] = None) -> list[ScenarioSpec]:
+                     backend: Optional[str] = None) -> list[ScenarioSpec]:
     """The two request patterns of Table 1 (uniform, and no-NL-more-MD).
 
     Pairs per request are fixed: 2 (NL), 2 (CK) and 10 (MD).
@@ -343,8 +335,7 @@ def table1_scenarios(hardware: str = "QL2020",
         for scheduler in ("FCFS", "HigherWFQ"):
             specs.append(ScenarioSpec(name=f"table1_{pattern_name}_{scheduler}",
                                       scenario=config, workload=workload,
-                                      scheduler=scheduler, backend=backend,
-                                      engine=engine))
+                                      scheduler=scheduler, backend=backend))
     return specs
 
 
@@ -356,8 +347,7 @@ def robustness_scenarios(hardware: str = "Lab",
                          loss_probabilities: tuple[float, ...] =
                          ROBUSTNESS_LOSS_PROBABILITIES,
                          attempt_batch_size: int = 1,
-                         backend: Optional[str] = None,
-                         engine: Optional[str] = None) -> list[ScenarioSpec]:
+                         backend: Optional[str] = None) -> list[ScenarioSpec]:
     """The classical frame-loss robustness scenarios of Section 6.1.
 
     Per-attempt messaging (no batching by default) so that every classical
@@ -374,7 +364,7 @@ def robustness_scenarios(hardware: str = "Lab",
         specs.append(ScenarioSpec(name=f"{hardware}_robust_loss{label}",
                                   scenario=config, workload=(workload,),
                                   attempt_batch_size=attempt_batch_size,
-                                  backend=backend, engine=engine))
+                                  backend=backend))
     return specs
 
 
@@ -383,8 +373,7 @@ def paper_grid(hardwares: tuple[str, ...] = ("Lab", "QL2020"),
                include_table1: bool = True,
                include_robustness: bool = True,
                attempt_batch_size: int = 1,
-               backend: Optional[str] = None,
-               engine: Optional[str] = None) -> list[ScenarioSpec]:
+               backend: Optional[str] = None) -> list[ScenarioSpec]:
     """The full evaluation grid of the paper's long runs — 169 scenarios.
 
     Composition (Section 6):
@@ -403,21 +392,19 @@ def paper_grid(hardwares: tuple[str, ...] = ("Lab", "QL2020"),
     specs: list[ScenarioSpec] = []
     for hardware in hardwares:
         specs.extend(single_kind_scenarios(
-            hardware, attempt_batch_size=attempt_batch_size, backend=backend,
-            engine=engine))
+            hardware, attempt_batch_size=attempt_batch_size, backend=backend))
     if include_mixed:
         for hardware in hardwares:
             specs.extend(mixed_kind_scenarios(
                 hardware, schedulers=("FCFS", "LowerWFQ", "HigherWFQ"),
-                attempt_batch_size=attempt_batch_size, backend=backend,
-                engine=engine))
+                attempt_batch_size=attempt_batch_size, backend=backend))
     if include_table1:
-        table1 = table1_scenarios(backend=backend, engine=engine)
+        table1 = table1_scenarios(backend=backend)
         for spec in table1:
             spec.attempt_batch_size = attempt_batch_size
         specs.extend(table1)
     if include_robustness:
-        specs.extend(robustness_scenarios(backend=backend, engine=engine))
+        specs.extend(robustness_scenarios(backend=backend))
     names = [spec.name for spec in specs]
     if len(set(names)) != len(names):
         raise RuntimeError("paper grid produced duplicate scenario names")
@@ -430,8 +417,7 @@ def chain_grid(lengths: tuple[int, ...] = (3, 4, 5),
                max_pairs: int = 1,
                min_fidelity: float = DEFAULT_MIN_FIDELITY,
                attempt_batch_size: int = 1,
-               backend: Optional[str] = None,
-               engine: Optional[str] = None) -> list[ScenarioSpec]:
+               backend: Optional[str] = None) -> list[ScenarioSpec]:
     """Repeater-chain scenarios: swap-ASAP over ``lengths``-node chains.
 
     Every link of a chain runs its own create-and-keep workload (chains
@@ -455,7 +441,7 @@ def chain_grid(lengths: tuple[int, ...] = (3, 4, 5),
                     name=f"chain{num_nodes}_{hardware}_{load_name}",
                     scenario=config, workload=(workload,),
                     attempt_batch_size=attempt_batch_size,
-                    backend=backend, engine=engine, topology=topology))
+                    backend=backend, topology=topology))
     return specs
 
 
@@ -468,8 +454,7 @@ def star_grid(sizes: tuple[int, ...] = (2, 3),
               insertion_loss_db: float = 1.5,
               min_fidelity: float = DEFAULT_MIN_FIDELITY,
               attempt_batch_size: int = 1,
-              backend: Optional[str] = None,
-              engine: Optional[str] = None) -> list[ScenarioSpec]:
+              backend: Optional[str] = None) -> list[ScenarioSpec]:
     """Switched-star scenarios: ``sizes`` node pairs time-sharing a midpoint.
 
     Star links behave like independent single-link runs behind a lossy
@@ -493,5 +478,5 @@ def star_grid(sizes: tuple[int, ...] = (2, 3),
                     name=f"star{num_pairs}_{hardware}_{kind}_{load_name}",
                     scenario=config, workload=(workload,),
                     attempt_batch_size=attempt_batch_size,
-                    backend=backend, engine=engine, topology=topology))
+                    backend=backend, topology=topology))
     return specs

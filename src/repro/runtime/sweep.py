@@ -134,20 +134,14 @@ class ScenarioOutcome:
     backend: str = "density"
     #: Simulation events processed — deterministic for a given (scenario,
     #: seed, backend), so it participates in equality and pins the
-    #: serial-vs-sharded equivalence tests down to the event count.  The
-    #: event *engine* does not change it (engines are trace-equivalent).
+    #: serial-vs-sharded equivalence tests down to the event count.
     events_processed: int = 0
     #: Events never scheduled thanks to outcome-preserving timer elision
     #: (PR 5/7) — makes the elision wins visible in sweep output.
-    #: Deterministic for a given (scenario, seed, backend) and identical
-    #: across engines, but provenance rather than result identity, so it
-    #: is excluded from comparison (old cache entries lack it).
+    #: Deterministic for a given (scenario, seed, backend), but provenance
+    #: rather than result identity, so it is excluded from comparison (old
+    #: cache entries lack it).
     events_elided: int = field(default=0, compare=False)
-    #: Resolved event-engine (queue implementation) the scenario ran on.
-    #: Engines are event-for-event equivalent, so this is provenance —
-    #: excluded from comparison so a heap sweep and a calendar sweep of the
-    #: same grid are field-for-field identical.
-    engine: str = field(default="heap", compare=False)
     wall_time: float = field(default=0.0, compare=False)
     from_cache: bool = field(default=False, compare=False)
     #: Per-link hop digests of a topology run (see
@@ -174,7 +168,11 @@ class ScenarioOutcome:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioOutcome":
-        """Rebuild an outcome from :meth:`to_dict` output."""
+        """Rebuild an outcome from :meth:`to_dict` output.
+
+        Keys of older records that this version no longer has, such as
+        ``engine`` or ``cohort``, are ignored.
+        """
         summary = data.get("summary")
         return cls(
             scenario_name=data["scenario_name"],
@@ -188,7 +186,6 @@ class ScenarioOutcome:
             backend=data.get("backend", "density"),
             events_processed=data.get("events_processed", 0),
             events_elided=data.get("events_elided", 0),
-            engine=data.get("engine", "heap"),
             wall_time=data.get("wall_time", 0.0),
             from_cache=data.get("from_cache", False),
             hops=data.get("hops"),
@@ -291,7 +288,6 @@ def _failure_outcome(spec: ScenarioSpec, seed: int, duration: float,
         status=status,
         error=error,
         backend=spec.backend_name(),
-        engine=spec.engine_name(),
         events_processed=events_processed,
         wall_time=time.perf_counter() - started,
     )
@@ -333,7 +329,6 @@ def execute_scenario(spec: ScenarioSpec, seed: int, duration: float,
             backend=result.backend,
             events_processed=result.events_processed,
             events_elided=result.events_elided,
-            engine=result.engine,
             wall_time=time.perf_counter() - started,
             hops=result.hops,
             end_to_end=result.end_to_end,

@@ -5,12 +5,12 @@ is a float in seconds.  Events scheduled at the same timestamp are executed
 in insertion order, which gives deterministic behaviour for protocols that
 schedule several actions "now".
 
-*How* pending events are stored is pluggable: the engine delegates to an
-:class:`~repro.sim.queues.EventQueue` — the reference binary heap, a
-calendar queue tuned to the MHP cycle cadence, or a ladder/tie-bucket
-hybrid (see :mod:`repro.sim.queues`).  All implementations are
-order-equivalent; selection is by name, instance, or the ``REPRO_ENGINE``
-environment variable.
+Pending events live in an :class:`~repro.sim.queues.EventQueue`, by
+default a fresh :class:`~repro.sim.queues.HeapEventQueue`; a caller may
+pass its own instance, for example a timing proxy around the heap.  The
+engine keeps no event log of its own: attach a :class:`repro.obs.Tracer`
+(:attr:`SimulationEngine.tracer`) to observe scheduled, executed,
+cancelled and elided events.
 
 The engine is deliberately minimal: the sophistication of the reproduction
 lives in the protocol and hardware models, not in the scheduler.  What *is*
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from time import perf_counter
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from repro.sim.queues import (
     Event,
@@ -213,10 +213,8 @@ class SimulationEngine:
     start_time:
         Initial simulation time in seconds (default ``0.0``).
     queue:
-        Event-queue implementation: an engine name (``"heap"``,
-        ``"calendar"``, ``"ladder"``), an
-        :class:`~repro.sim.queues.EventQueue` instance, or ``None`` for the
-        environment default (``REPRO_ENGINE``, falling back to ``"heap"``).
+        An :class:`~repro.sim.queues.EventQueue` instance to store pending
+        events in, or ``None`` (the default) for a fresh heap.
 
     Examples
     --------
@@ -229,12 +227,11 @@ class SimulationEngine:
     """
 
     def __init__(self, start_time: float = 0.0,
-                 queue: Union[None, str, EventQueue] = None) -> None:
+                 queue: Optional[EventQueue] = None) -> None:
         self._now = float(start_time)
         self._queue = make_event_queue(queue)
         self._queue.clear(self._now)
         self._counter = itertools.count()
-        self._running = False
         self._processed = 0
         #: Events whose scheduling was skipped outright by an
         #: outcome-preserving elision (PR 5/7): watchdogs that provably
@@ -245,20 +242,15 @@ class SimulationEngine:
         #: Bumped by :meth:`reset`; reusable/periodic timers from an older
         #: epoch refuse to re-arm their stale event objects.
         self._epoch = 0
-        #: Optional event-trace sink: when set to a list, every executed
-        #: event appends ``(time, sequence, name)``.  The engine-equivalence
-        #: tests pin these traces across queue implementations.
-        self.trace: Optional[list] = None
         #: Optional :class:`repro.obs.Tracer`.  ``None`` (the default)
-        #: keeps every instrumentation site a single ``is not None``
-        #: check — the same zero-cost pattern as :attr:`trace`.
+        #: keeps every instrumentation site a single ``is not None`` check.
         self.tracer = None
         #: Supervision bounds (``repro.runtime.guard`` installs them).
         #: ``event_budget`` caps total :attr:`processed_events`
         #: (deterministic: the same run hits it at the same event);
         #: ``deadline_at`` is an absolute :func:`time.perf_counter` value
         #: checked every 1024 events.  Both default to ``None`` — the run
-        #: loop then pays one ``is not None`` per event and the trace is
+        #: loop then pays one ``is not None`` per event and the event order is
         #: bit-identical to an unguarded engine.
         self.event_budget: Optional[int] = None
         self.deadline_at: Optional[float] = None
@@ -267,11 +259,6 @@ class SimulationEngine:
     def now(self) -> float:
         """Current simulation time in seconds."""
         return self._now
-
-    @property
-    def queue_name(self) -> str:
-        """Registry name of the event-queue implementation in use."""
-        return self._queue.name
 
     @property
     def pending_events(self) -> int:
@@ -348,24 +335,6 @@ class SimulationEngine:
         """A :class:`ReusableTimer` bound to this engine."""
         return ReusableTimer(self, callback, name=name)
 
-    def step(self) -> bool:
-        """Run the next (non-cancelled) event.
-
-        Returns ``True`` if an event was executed, ``False`` if the queue is
-        empty.
-        """
-        event = self._queue.pop()
-        if event is None:
-            return False
-        self._now = event.time
-        if self.trace is not None:
-            self.trace.append((event.time, event.sequence, event.name))
-        if self.tracer is not None:
-            self.tracer.on_executed(event.name)
-        event.callback(*event.args)
-        self._processed += 1
-        return True
-
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> float:
         """Run the simulation.
@@ -387,47 +356,40 @@ class SimulationEngine:
         float
             The simulation time at which the run stopped.
         """
-        self._running = True
         queue = self._queue
-        trace = self.trace
         tracer = self.tracer
         budget = self.event_budget
         deadline = self.deadline_at
         executed = 0
-        try:
-            while max_events is None or executed < max_events:
-                event = queue.pop_due(until)
-                if event is None:
-                    # Queue empty, or the next event lies beyond ``until``:
-                    # either way the clock advances to the bound.
-                    if until is not None and until > self._now:
-                        self._now = until
-                    break
-                self._now = event.time
-                if trace is not None:
-                    trace.append((event.time, event.sequence, event.name))
-                if tracer is not None:
-                    tracer.on_executed(event.name)
-                event.callback(*event.args)
-                self._processed += 1
-                executed += 1
-                if budget is not None and self._processed >= budget:
-                    raise EventBudgetExceeded(
-                        f"event budget of {budget} exhausted at simulated "
-                        f"time {self._now:.6f}s", self._processed, self._now)
-                if (deadline is not None and not (self._processed & 1023)
-                        and perf_counter() >= deadline):
-                    raise DeadlineExceeded(
-                        f"wall-clock deadline passed after "
-                        f"{self._processed} events at simulated time "
-                        f"{self._now:.6f}s", self._processed, self._now)
-        finally:
-            self._running = False
+        while max_events is None or executed < max_events:
+            event = queue.pop_due(until)
+            if event is None:
+                # Queue empty, or the next event lies beyond ``until``:
+                # either way the clock advances to the bound.
+                if until is not None and until > self._now:
+                    self._now = until
+                break
+            self._now = event.time
+            if tracer is not None:
+                tracer.on_executed(event.name)
+            event.callback(*event.args)
+            self._processed += 1
+            executed += 1
+            if budget is not None and self._processed >= budget:
+                raise EventBudgetExceeded(
+                    f"event budget of {budget} exhausted at simulated "
+                    f"time {self._now:.6f}s", self._processed, self._now)
+            if (deadline is not None and not (self._processed & 1023)
+                    and perf_counter() >= deadline):
+                raise DeadlineExceeded(
+                    f"wall-clock deadline passed after "
+                    f"{self._processed} events at simulated time "
+                    f"{self._now:.6f}s", self._processed, self._now)
         return self._now
 
     def _note_cancelled(self, event: Event) -> None:
         """Forward a cancellation to the queue's accounting (compaction is
-        the queue's business — bucket-local where the structure allows)."""
+        the queue's business)."""
         self._queue.note_cancelled(event)
         if self.tracer is not None:
             self.tracer.on_cancelled(event.name)

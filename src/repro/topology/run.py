@@ -188,7 +188,6 @@ class TopologyRun:
                                 for generator in self.generators),
             seed=self.seed,
             backend=self.network.backend.name,
-            engine=self.network.engine.queue_name,
             events_processed=self.network.engine.processed_events,
             events_elided=self.network.engine.elided_events,
             hops=hops,

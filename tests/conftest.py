@@ -8,24 +8,23 @@ import numpy as np
 import pytest
 
 from repro.hardware.parameters import lab_scenario, ql2020_scenario
+from repro.obs import Tracer
 from repro.sim.engine import SimulationEngine
 
 
 @pytest.fixture(autouse=True)
 def _isolate_repro_selectors():
-    """Fail any test that leaks a ``REPRO_BACKEND`` / ``REPRO_ENGINE``
-    change to its neighbours.
+    """Fail any test that leaks a ``REPRO_BACKEND`` change to its
+    neighbours.
 
-    The whole suite is run once per backend (and once per event engine) in
-    CI, so a test that mutates a selector without restoring it silently
-    changes the physics — or the event queue — of every later test.
-    ``monkeypatch.setenv`` is fine (it restores before this fixture's
-    teardown runs); bare ``os.environ`` writes are the bug this guards
-    against.  The original value is restored either way so one offender
-    cannot cascade.
+    The whole suite is run once per backend in CI, so a test that mutates
+    the selector without restoring it silently changes the physics of every
+    later test.  ``monkeypatch.setenv`` is fine (it restores before this
+    fixture's teardown runs); bare ``os.environ`` writes are the bug this
+    guards against.  The original value is restored either way so one
+    offender cannot cascade.
     """
-    before = {var: os.environ.get(var)
-              for var in ("REPRO_BACKEND", "REPRO_ENGINE")}
+    before = {var: os.environ.get(var) for var in ("REPRO_BACKEND",)}
     yield
     leaks = []
     for var, value in before.items():
@@ -47,6 +46,30 @@ def _isolate_repro_selectors():
 def engine() -> SimulationEngine:
     """A fresh simulation engine."""
     return SimulationEngine()
+
+
+class ExecutedLog(Tracer):
+    """A tracer that also logs ``(engine.now, name)`` per executed event."""
+
+    __slots__ = ("engine", "log")
+
+    def __init__(self, engine: SimulationEngine) -> None:
+        super().__init__()
+        self.engine = engine
+        self.log: list[tuple[float, str]] = []
+
+    def on_executed(self, name: str) -> None:
+        super().on_executed(name)
+        self.log.append((self.engine.now, name))
+
+
+@pytest.fixture
+def log_executed():
+    """Attach an :class:`ExecutedLog` to an engine; returns its log list."""
+    def attach(engine: SimulationEngine) -> list[tuple[float, str]]:
+        engine.tracer = ExecutedLog(engine)
+        return engine.tracer.log
+    return attach
 
 
 @pytest.fixture

@@ -277,7 +277,7 @@ class TestTransportContract:
         # Corrupt one entry; leave another readable only under a foreign
         # backend by rewriting its filename suffix (v4 layout:
         # ``<key>.<backend>.<engine>.json``).
-        entries = sorted(cache_dir.glob("*.analytic.*.json"))
+        entries = sorted(cache_dir.glob("*.analytic.json"))
         assert len(entries) == 4
         entries[0].write_text("{torn")
         entries[1].rename(entries[1].with_name(

@@ -1,31 +1,19 @@
-"""Engine-equivalence suite (PR 5 acceptance).
+"""Timer-elision equivalence.
 
-Every event-queue implementation must drive the *same simulation*: for a
-given scenario, seed and physics backend, the heap, calendar and ladder
-engines must execute the identical event sequence — pinned here event for
-event via the engine trace — and sweeps run under different engines must be
-field-for-field identical.
-
-Also pins the two elision satellites: reply-watchdog elision is
-bit-identical (the watchdog never fires at zero frame loss), and GEN/REPLY
-timer elision preserves every delivered outcome while strictly shrinking
-the event count.
+Reply-watchdog elision is bit-identical — the watchdog never fires at zero
+frame loss, so the executed ``(time, name)`` sequence is unchanged — and
+GEN/REPLY timer elision preserves every delivered outcome while strictly
+shrinking the event count.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import pytest
 
 from repro.core.messages import Priority
 from repro.hardware.parameters import lab_scenario, ql2020_scenario
 from repro.runtime.runner import SimulationRun
-from repro.runtime.scenarios import ScenarioSpec, single_kind_scenarios
-from repro.runtime.sweep import SweepRunner
 from repro.runtime.workload import WorkloadSpec
-
-ENGINES = ("heap", "calendar", "ladder")
 
 MIXED_WORKLOAD = [
     WorkloadSpec(priority=Priority.CK, load_fraction=0.99, max_pairs=1,
@@ -35,74 +23,15 @@ MIXED_WORKLOAD = [
 ]
 
 
-def traced_run(scenario, workload, duration, *, engine, backend,
-               seed=12345, batch=40, **kwargs):
-    """Run one simulation recording the executed-event trace."""
-    run = SimulationRun(scenario, workload, seed=seed,
-                        attempt_batch_size=batch, backend=backend,
-                        engine=engine, **kwargs)
-    run.network.engine.trace = []
-    result = run.run(duration)
-    return result, run.network.engine.trace
-
-
-class TestTraceEquivalence:
-    """Event-for-event identical traces across all engines."""
-
-    @pytest.mark.parametrize("backend", ["analytic", "density"])
-    def test_smoke_ql2020_mixed_traces_identical(self, backend):
-        duration = 0.6 if backend == "analytic" else 0.2
-        reference, ref_trace = traced_run(
-            ql2020_scenario(), MIXED_WORKLOAD, duration,
-            engine="heap", backend=backend)
-        assert ref_trace, "reference run executed no events"
-        for engine in ("calendar", "ladder"):
-            result, trace = traced_run(
-                ql2020_scenario(), MIXED_WORKLOAD, duration,
-                engine=engine, backend=backend)
-            assert trace == ref_trace, \
-                f"{engine}/{backend} trace diverged from heap"
-            assert result.events_processed == reference.events_processed
-            assert result.summary == reference.summary
-            assert result.engine == engine
-
-    def test_lab_single_kind_traces_identical(self):
-        workload = [WorkloadSpec(priority=Priority.CK, load_fraction=0.99,
-                                 max_pairs=3, min_fidelity=0.6)]
-        _, ref_trace = traced_run(lab_scenario(), workload, 1.0,
-                                  engine="heap", backend="analytic")
-        assert ref_trace
-        for engine in ("calendar", "ladder"):
-            _, trace = traced_run(lab_scenario(), workload, 1.0,
-                                  engine=engine, backend="analytic")
-            assert trace == ref_trace
-
-    def test_traces_identical_with_reference_scheduling(self):
-        """Equivalence holds for the un-elided reference pattern too."""
-        _, ref_trace = traced_run(
-            ql2020_scenario(), MIXED_WORKLOAD, 0.5, engine="heap",
-            backend="analytic", elide_watchdog=False, timer_elision=False)
-        assert ref_trace
-        for engine in ("calendar", "ladder"):
-            _, trace = traced_run(
-                ql2020_scenario(), MIXED_WORKLOAD, 0.5, engine=engine,
-                backend="analytic", elide_watchdog=False,
-                timer_elision=False)
-            assert trace == ref_trace
-
-    def test_frame_loss_traces_identical(self):
-        """The robustness path (loss > 0, watchdogs active) is equivalent
-        across engines as well."""
-        scenario = lab_scenario().with_frame_loss(1e-3)
-        workload = [WorkloadSpec(priority=Priority.MD, load_fraction=0.99,
-                                 max_pairs=3, min_fidelity=0.6)]
-        _, ref_trace = traced_run(scenario, workload, 1.0, engine="heap",
-                                  backend="analytic", batch=1)
-        assert ref_trace
-        for engine in ("calendar", "ladder"):
-            _, trace = traced_run(scenario, workload, 1.0, engine=engine,
-                                  backend="analytic", batch=1)
-            assert trace == ref_trace
+def mixed_run(duration, *, backend, attach=None, seed=12345, batch=40,
+              **kwargs):
+    """Run the QL2020 mixed workload; ``attach(engine)`` (for example the
+    ``log_executed`` fixture) may hook the engine before the run starts.
+    Returns the result and whatever ``attach`` returned."""
+    run = SimulationRun(ql2020_scenario(), MIXED_WORKLOAD, seed=seed,
+                        attempt_batch_size=batch, backend=backend, **kwargs)
+    hooked = attach(run.network.engine) if attach is not None else None
+    return run.run(duration), hooked
 
 
 class TestWatchdogElision:
@@ -110,20 +39,19 @@ class TestWatchdogElision:
     watchdog may be skipped with bit-identical outcomes."""
 
     @pytest.mark.parametrize("backend", ["analytic", "density"])
-    def test_bit_identical_with_and_without_watchdog(self, backend):
+    def test_bit_identical_with_and_without_watchdog(self, backend,
+                                                     log_executed):
         duration = 0.6 if backend == "analytic" else 0.2
-        with_wd, trace_with = traced_run(
-            ql2020_scenario(), MIXED_WORKLOAD, duration, engine="heap",
-            backend=backend, elide_watchdog=False)
-        without_wd, trace_without = traced_run(
-            ql2020_scenario(), MIXED_WORKLOAD, duration, engine="heap",
-            backend=backend, elide_watchdog=True)
+        with_wd, log_with = mixed_run(duration, backend=backend,
+                                      attach=log_executed,
+                                      elide_watchdog=False)
+        without_wd, log_without = mixed_run(duration, backend=backend,
+                                            attach=log_executed,
+                                            elide_watchdog=True)
         # The watchdog is always cancelled before firing, so the *executed*
-        # events are identical: same times and names in the same order
-        # (sequence numbers shift because the elided schedules no longer
-        # consume them).
-        assert [(e[0], e[2]) for e in trace_with] == \
-            [(e[0], e[2]) for e in trace_without]
+        # events are identical: same times and names in the same order.
+        assert log_with
+        assert log_with == log_without
         assert with_wd.events_processed == without_wd.events_processed
         assert with_wd.summary == without_wd.summary
         assert with_wd.requests_issued == without_wd.requests_issued
@@ -149,109 +77,9 @@ class TestTimerElision:
     @pytest.mark.parametrize("backend", ["analytic", "density"])
     def test_outcomes_preserved_and_events_reduced(self, backend):
         duration = 0.6 if backend == "analytic" else 0.2
-        reference, _ = traced_run(
-            ql2020_scenario(), MIXED_WORKLOAD, duration, engine="heap",
-            backend=backend, elide_watchdog=False, timer_elision=False)
-        elided, _ = traced_run(
-            ql2020_scenario(), MIXED_WORKLOAD, duration, engine="heap",
-            backend=backend)
+        reference, _ = mixed_run(duration, backend=backend,
+                                 elide_watchdog=False, timer_elision=False)
+        elided, _ = mixed_run(duration, backend=backend)
         assert elided.summary == reference.summary
         assert elided.requests_issued == reference.requests_issued
         assert elided.events_processed < reference.events_processed
-
-
-class TestSweepEquivalence:
-    """Field-for-field identical SweepResults across engines."""
-
-    def grid(self, engine):
-        specs = single_kind_scenarios(
-            "QL2020", kinds=("CK", "MD"), loads=("High",),
-            max_pairs_options=(1,), origins=("A",), include_md_k255=False,
-            attempt_batch_size=40, backend="analytic", engine=engine)
-        return specs
-
-    def test_sweeps_identical_across_engines(self, tmp_path):
-        reference = SweepRunner(self.grid("heap"), duration=0.5,
-                                master_seed=11).run()
-        assert reference.completed
-        for engine in ("calendar", "ladder"):
-            result = SweepRunner(self.grid(engine), duration=0.5,
-                                 master_seed=11).run()
-            # ScenarioOutcome equality covers every result field, down to
-            # events_processed; the engine field itself is provenance
-            # (compare=False), recorded but not part of the identity.
-            assert result.outcomes == reference.outcomes
-            assert all(outcome.engine == engine
-                       for outcome in result.outcomes)
-            assert [o.events_processed for o in result.outcomes] == \
-                [o.events_processed for o in reference.outcomes]
-
-    def test_engine_recorded_in_outcome_dicts(self):
-        result = SweepRunner(self.grid("calendar"), duration=0.3,
-                             master_seed=3).run()
-        payload = result.to_dict()
-        assert all(entry["engine"] == "calendar"
-                   for entry in payload["outcomes"])
-
-
-class TestEnginePlumbing:
-    """REPRO_ENGINE / ScenarioSpec.engine threading (mirrors the backend
-    plumbing introduced in PR 2)."""
-
-    def base_spec(self, engine=None):
-        return self.grid_spec(engine)
-
-    @staticmethod
-    def grid_spec(engine=None):
-        return single_kind_scenarios(
-            "QL2020", kinds=("MD",), loads=("High",), max_pairs_options=(1,),
-            origins=("A",), include_md_k255=False, backend="analytic",
-            engine=engine)[0]
-
-    def test_spec_round_trip_preserves_engine(self):
-        spec = self.grid_spec("calendar")
-        rebuilt = ScenarioSpec.from_dict(spec.to_dict())
-        assert rebuilt.engine == "calendar"
-        assert rebuilt.engine_name() == "calendar"
-
-    def test_identity_key_independent_of_engine(self):
-        heap = self.grid_spec("heap")
-        calendar = dataclasses.replace(heap, engine="calendar")
-        assert heap.identity_key() == calendar.identity_key()
-
-    def test_env_var_resolution(self, monkeypatch):
-        spec = self.grid_spec(None)
-        monkeypatch.setenv("REPRO_ENGINE", "ladder")
-        assert spec.engine_name() == "ladder"
-        monkeypatch.delenv("REPRO_ENGINE")
-        assert spec.engine_name() == "heap"
-
-    def test_run_result_records_engine(self):
-        spec = self.grid_spec("ladder")
-        result = spec.run(0.2)
-        assert result.engine == "ladder"
-
-    def test_cost_features_include_engine(self):
-        assert self.grid_spec("calendar").cost_features()["engine"] == \
-            "calendar"
-
-    def test_cache_engine_mismatch_skipped_with_reason(self, tmp_path):
-        heap_specs = [self.grid_spec("heap")]
-        runner = SweepRunner(heap_specs, duration=0.2, master_seed=5,
-                             cache_dir=tmp_path)
-        runner.run()
-        calendar_specs = [dataclasses.replace(heap_specs[0],
-                                              engine="calendar")]
-        runner2 = SweepRunner(calendar_specs, duration=0.2, master_seed=5,
-                              cache_dir=tmp_path)
-        result = runner2.run()
-        report = runner2.cache_report()
-        assert report.counts()["skips"] == 1
-        assert "'heap'" in report.skips[0].reason
-        assert "'calendar'" in report.skips[0].reason
-        assert result.outcomes[0].ok and not result.outcomes[0].from_cache
-        # Both engines now coexist; each resolves to its own entry.
-        assert SweepRunner(heap_specs, duration=0.2, master_seed=5,
-                           cache_dir=tmp_path).run().outcomes[0].from_cache
-        assert SweepRunner(calendar_specs, duration=0.2, master_seed=5,
-                           cache_dir=tmp_path).run().outcomes[0].from_cache

@@ -1,9 +1,9 @@
-"""Cross-implementation tests for the pluggable event-queue layer.
+"""Tests for the engine's event queue (:class:`HeapEventQueue`).
 
-Every behaviour here is pinned for **all** `EventQueue` implementations —
-the heap reference, the calendar queue and the ladder/tie-bucket hybrid
-must be order-equivalent operation for operation (PR 5 tentpole).  The
-heap-specific compaction internals stay in ``test_sim_engine.py``.
+The engine-facing contract — ordering, cancellation, ``run(until=)``,
+periodic and reusable timers, reset — plus a randomized fuzz of
+schedule/cancel/run interleavings.  The heap's compaction internals are
+pinned in ``test_sim_engine.py``.
 """
 
 from __future__ import annotations
@@ -13,71 +13,45 @@ import random
 import pytest
 
 from repro.sim.engine import SimulationEngine, SimulationError
-from repro.sim.queues import (
-    CalendarEventQueue,
-    available_engines,
-    default_engine_name,
-    make_event_queue,
-    resolve_engine_name,
-)
-
-ENGINES = ("heap", "calendar", "ladder")
+from repro.sim.queues import HeapEventQueue, make_event_queue
 
 
-@pytest.fixture(params=ENGINES)
-def any_engine(request):
-    return SimulationEngine(queue=request.param)
-
-
-class TestRegistry:
-    def test_available_engines(self):
-        assert available_engines() == ["calendar", "heap", "ladder"]
-
-    def test_default_is_heap(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert default_engine_name() == "heap"
-        assert SimulationEngine().queue_name == "heap"
-
-    def test_env_selects_engine(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "calendar")
-        assert default_engine_name() == "calendar"
-        assert SimulationEngine().queue_name == "calendar"
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown event engine"):
-            resolve_engine_name("btree")
-        with pytest.raises(ValueError, match="unknown event engine"):
-            SimulationEngine(queue="btree")
-
+class TestMakeEventQueue:
     def test_instances_are_fresh(self):
-        assert make_event_queue("calendar") is not make_event_queue("calendar")
+        assert isinstance(make_event_queue(), HeapEventQueue)
+        assert make_event_queue() is not make_event_queue()
 
     def test_instance_passthrough(self):
-        queue = make_event_queue("ladder")
+        queue = make_event_queue()
         engine = SimulationEngine(queue=queue)
         assert engine._queue is queue
-        assert engine.queue_name == "ladder"
+
+    def test_leftover_name_rejected(self):
+        # Queue names are not accepted: there is nothing to select.
+        with pytest.raises(TypeError):
+            make_event_queue("calendar")
+        with pytest.raises(TypeError):
+            SimulationEngine(queue="heap")
 
 
 class TestCoreBehaviour:
-    """The engine-facing contract, identical for every implementation."""
+    """The engine-facing contract."""
 
-    def test_time_order(self, any_engine):
+    def test_time_order(self, engine):
         fired = []
         for t in (3.0, 1.0, 2.0):
-            any_engine.schedule_at(t, lambda t=t: fired.append(t))
-        any_engine.run()
+            engine.schedule_at(t, lambda t=t: fired.append(t))
+        engine.run()
         assert fired == [1.0, 2.0, 3.0]
 
-    def test_same_timestamp_fifo(self, any_engine):
+    def test_same_timestamp_fifo(self, engine):
         fired = []
         for label in "abcdef":
-            any_engine.schedule_at(1.0, lambda l=label: fired.append(l))
-        any_engine.run()
+            engine.schedule_at(1.0, lambda l=label: fired.append(l))
+        engine.run()
         assert fired == list("abcdef")
 
-    def test_same_timestamp_fifo_interleaved_with_pops(self, any_engine):
-        engine = any_engine
+    def test_same_timestamp_fifo_interleaved_with_pops(self, engine):
         fired = []
 
         def first():
@@ -91,8 +65,7 @@ class TestCoreBehaviour:
         engine.run()
         assert fired == ["first", "second", "late"]
 
-    def test_cancellation_and_pending_counts(self, any_engine):
-        engine = any_engine
+    def test_cancellation_and_pending_counts(self, engine):
         handles = [engine.schedule_at(float(i), lambda: None)
                    for i in range(10)]
         assert engine.pending_events == 10
@@ -104,8 +77,7 @@ class TestCoreBehaviour:
         assert engine.pending_events == 0
         assert engine.processed_events == 6
 
-    def test_run_until_semantics(self, any_engine):
-        engine = any_engine
+    def test_run_until_semantics(self, engine):
         fired = []
         engine.schedule_at(1.0, lambda: fired.append(1))
         engine.schedule_at(2.0, lambda: fired.append(2))
@@ -117,24 +89,21 @@ class TestCoreBehaviour:
         assert fired == [1, 2, 5]
         assert engine.now == 10.0  # clock advances past the last event
 
-    def test_run_until_with_empty_queue_advances_clock(self, any_engine):
-        assert any_engine.run(until=7.5) == 7.5
-        assert any_engine.now == 7.5
+    def test_run_until_with_empty_queue_advances_clock(self, engine):
+        assert engine.run(until=7.5) == 7.5
+        assert engine.now == 7.5
 
     def test_run_until_with_only_cancelled_events_advances_clock(
-            self, any_engine):
-        engine = any_engine
+            self, engine):
         engine.schedule_at(1.0, lambda: None).cancel()
         engine.schedule_at(3.0, lambda: None).cancel()
         assert engine.run(until=5.0) == 5.0
         assert engine.now == 5.0
         assert engine.processed_events == 0
 
-    def test_run_until_landing_in_empty_bucket_region(self, any_engine):
+    def test_run_until_landing_in_empty_stretch(self, engine):
         # A long empty stretch between event clusters: the bound lands in
-        # the middle of it (for the calendar queue: inside an empty bucket
-        # year), and later events stay intact.
-        engine = any_engine
+        # the middle of it, and later events stay intact.
         fired = []
         for i in range(20):
             engine.schedule_at(0.001 * i, lambda i=i: fired.append(i))
@@ -146,41 +115,35 @@ class TestCoreBehaviour:
         assert fired[-1] == "far"
         assert engine.now == 1000.0
 
-    def test_max_events_leaves_clock_on_last_event(self, any_engine):
-        engine = any_engine
+    def test_max_events_leaves_clock_on_last_event(self, engine):
         for i in range(10):
             engine.schedule_at(float(i), lambda: None)
         engine.run(max_events=3)
         assert engine.processed_events == 3
         assert engine.now == 2.0
 
-    def test_schedule_in_past_raises(self, any_engine):
-        engine = any_engine
+    def test_schedule_in_past_raises(self, engine):
         engine.schedule_at(4.0, lambda: None)
         engine.run()
         with pytest.raises(SimulationError):
             engine.schedule_at(1.0, lambda: None)
 
-    def test_callback_args(self, any_engine):
+    def test_callback_args(self, engine):
         seen = []
-        any_engine.schedule_at(1.0, lambda a, b: seen.append((a, b)),
+        engine.schedule_at(1.0, lambda a, b: seen.append((a, b)),
                                args=("x", 2))
-        any_engine.run()
+        engine.run()
         assert seen == [("x", 2)]
 
 
-class TestFarFutureOverflow:
-    """Far-future timers ride the calendar's overflow ladder (and must
-    behave identically on the other implementations)."""
+class TestFarFutureTimers:
+    """Far-future timers (request timeouts, EXPIRE retries) mixed with a
+    dense near-future cluster."""
 
-    @pytest.mark.parametrize("engine_name", ENGINES)
-    def test_overflow_promotion_fires_in_order(self, engine_name):
-        engine = SimulationEngine(queue=engine_name)
+    def test_far_timers_fire_in_order(self, engine):
         fired = []
-        # Dense near-future cluster sets a narrow calendar width...
         for i in range(64):
             engine.schedule_at(1e-5 * i, lambda i=i: fired.append(i))
-        # ...so these are far beyond the calendar horizon (overflow ladder).
         engine.schedule_at(50.0, lambda: fired.append("far-a"))
         engine.schedule_at(75.0, lambda: fired.append("far-b"))
         engine.schedule_at(50.0 + 1e-9, lambda: fired.append("far-a2"))
@@ -188,39 +151,20 @@ class TestFarFutureOverflow:
         assert fired[:64] == list(range(64))
         assert fired[64:] == ["far-a", "far-a2", "far-b"]
 
-    def test_calendar_uses_overflow_for_far_timers(self):
-        queue = CalendarEventQueue()
-        engine = SimulationEngine(queue=queue)
-        for i in range(32):
-            engine.schedule_at(1e-5 * i, lambda: None)
-        engine.run(until=1e-5 * 40)
-        far = engine.schedule_at(1e6, lambda: None)
-        assert len(queue._overflow) == 1  # parked on the ladder
-        fired = []
-        engine.schedule_at(1e6 - 1.0, lambda: fired.append("near"))
-        engine.run()
-        assert fired == ["near"]
-        assert far.popped and not far.cancelled
-
-    @pytest.mark.parametrize("engine_name", ENGINES)
-    def test_push_after_overflow_promotion_keeps_order(self, engine_name):
-        # Regression: promoting the overflow year (triggered by a peek on
-        # an empty calendar, no pop) must not make later pushes at much
-        # earlier times sequence after the promoted events.
-        engine = SimulationEngine(queue=engine_name)
+    def test_push_after_peek_past_bound_keeps_order(self, engine):
+        # A run that stops at a bound peeks at the far event without
+        # popping it; later pushes at much earlier times still fire first.
         fired = []
         engine.schedule_at(1000.0, lambda: fired.append("far"))
-        engine.run(until=1.0)  # peeks, promoting the overflow year
+        engine.run(until=1.0)
         cancelled = engine.schedule_at(2.0, lambda: fired.append("a"))
-        cancelled.cancel()  # invalidates any cached head
+        cancelled.cancel()
         engine.schedule_at(3.0, lambda: fired.append("b"))
         engine.run()
         assert fired == ["b", "far"]
         assert engine.now == 1000.0
 
-    @pytest.mark.parametrize("engine_name", ENGINES)
-    def test_cancelled_far_future_timer_never_fires(self, engine_name):
-        engine = SimulationEngine(queue=engine_name)
+    def test_cancelled_far_future_timer_never_fires(self, engine):
         fired = []
         for i in range(32):
             engine.schedule_at(1e-5 * i, lambda: fired.append("near"))
@@ -234,9 +178,7 @@ class TestFarFutureOverflow:
 class TestCancelCompactInterleavings:
     """Mass-cancellation patterns must stay bounded and order-preserving."""
 
-    @pytest.mark.parametrize("engine_name", ENGINES)
-    def test_watchdog_pattern_stays_bounded(self, engine_name):
-        engine = SimulationEngine(queue=engine_name)
+    def test_watchdog_pattern_stays_bounded(self, engine):
         fired = 0
 
         def tick(step=[0]):
@@ -253,9 +195,7 @@ class TestCancelCompactInterleavings:
         # Cancelled watchdogs must not accumulate without bound.
         assert len(engine._queue) <= 256
 
-    @pytest.mark.parametrize("engine_name", ENGINES)
-    def test_cancel_then_compact_preserves_order(self, engine_name):
-        engine = SimulationEngine(queue=engine_name)
+    def test_cancel_then_compact_preserves_order(self, engine):
         fired = []
         keep = [engine.schedule_at(float(i), lambda i=i: fired.append(i))
                 for i in range(100)]
@@ -272,9 +212,7 @@ class TestCancelCompactInterleavings:
         assert fired == list(range(100))
         assert all(not h.cancelled for h in keep)
 
-    @pytest.mark.parametrize("engine_name", ENGINES)
-    def test_cancel_same_timestamp_subset(self, engine_name):
-        engine = SimulationEngine(queue=engine_name)
+    def test_cancel_same_timestamp_subset(self, engine):
         fired = []
         handles = [engine.schedule_at(1.0, lambda i=i: fired.append(i))
                    for i in range(20)]
@@ -285,36 +223,45 @@ class TestCancelCompactInterleavings:
         assert fired == expected
 
 
-class TestRandomizedEquivalence:
-    """Fuzz: random schedule/cancel/run interleavings must produce the
-    exact same execution trace on every implementation."""
+class TestRandomizedInterleavings:
+    """Fuzz: random schedule/cancel/run interleavings execute every live
+    event exactly once, in strictly increasing ``(time, sequence)``."""
 
-    def _run_script(self, engine_name, script):
-        engine = SimulationEngine(queue=engine_name)
-        engine.trace = []
-        handles = []
+    @staticmethod
+    def _run_script(script, log_executed):
+        engine = SimulationEngine()
+        log = log_executed(engine)
+        handles = {}
+        order = []  # cancellation targets, in scheduling order
+        never_fire = set()
+
+        def schedule(when, callback, prefix):
+            name = f"{prefix}{len(handles)}"
+            handles[name] = engine.schedule_at(when, callback, name=name)
+            order.append(name)
+
         for op in script:
             if op[0] == "run_until":
                 engine.run(until=op[1])
             elif op[0] == "schedule":
-                handles.append(engine.schedule_at(
-                    max(op[1], engine.now), lambda: None, name=f"e{len(handles)}"))
+                schedule(max(op[1], engine.now), lambda: None, "e")
             elif op[0] == "nested":
                 # A callback that schedules more events when it fires.
                 def nested(offsets=op[1]):
                     for offset in offsets:
-                        engine.schedule_after(offset, lambda: None,
-                                              name="nested")
-                handles.append(engine.schedule_at(
-                    max(op[2], engine.now), nested, name="nest"))
+                        schedule(engine.now + offset, lambda: None, "n")
+                schedule(max(op[2], engine.now), nested, "nest")
             elif op[0] == "cancel":
-                if handles:
-                    handles[op[1] % len(handles)].cancel()
+                if order:
+                    name = order[op[1] % len(order)]
+                    if not handles[name].popped:
+                        never_fire.add(name)
+                    handles[name].cancel()
         engine.run()
-        return engine.trace
+        return log, handles, never_fire
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 6, 7])
-    def test_fuzzed_traces_identical(self, seed):
+    def test_fuzzed_order_and_cancellation(self, seed, log_executed):
         rnd = random.Random(seed)
         script = []
         t = 0.0
@@ -340,23 +287,24 @@ class TestRandomizedEquivalence:
             else:
                 t += rnd.random() * 0.05
                 script.append(("run_until", t))
-        reference = self._run_script("heap", script)
-        assert reference  # the fuzz actually executed something
-        for engine_name in ("calendar", "ladder"):
-            assert self._run_script(engine_name, script) == reference, \
-                f"{engine_name} trace diverged from heap (seed {seed})"
+        log, handles, never_fire = self._run_script(script, log_executed)
+        assert log  # the fuzz actually executed something
+        keys = [(time, handles[name].sequence) for time, name in log]
+        assert all(earlier < later for earlier, later in zip(keys, keys[1:]))
+        assert all(time == handles[name].time for time, name in log)
+        executed = [name for _, name in log]
+        assert len(executed) == len(set(executed))
+        assert set(executed) == set(handles) - never_fire
 
 
 class TestPeriodicScheduling:
-    def test_periodic_fires_on_cadence(self, any_engine):
-        engine = any_engine
+    def test_periodic_fires_on_cadence(self, engine):
         ticks = []
         engine.schedule_periodic(0.5, lambda: ticks.append(engine.now))
         engine.run(until=2.6)
         assert ticks == [0.5, 1.0, 1.5, 2.0, 2.5]
 
-    def test_periodic_custom_start(self, any_engine):
-        engine = any_engine
+    def test_periodic_custom_start(self, engine):
         ticks = []
         engine.schedule_periodic(1.0, lambda: ticks.append(engine.now),
                                  start=0.25)
@@ -364,15 +312,14 @@ class TestPeriodicScheduling:
         assert ticks == [0.25, 1.25, 2.25]
 
     def test_periodic_reuses_one_event_object(self):
-        engine = SimulationEngine(queue="heap")
+        engine = SimulationEngine()
         handle = engine.schedule_periodic(1.0, lambda: None)
         event = handle._event
         engine.run(until=10.0)
         assert handle._event is event  # same object across 10 firings
         assert engine.processed_events == 10
 
-    def test_periodic_cancel_stops_series(self, any_engine):
-        engine = any_engine
+    def test_periodic_cancel_stops_series(self, engine):
         ticks = []
         handle = engine.schedule_periodic(1.0, lambda: ticks.append(1))
         engine.run(until=2.5)
@@ -382,8 +329,7 @@ class TestPeriodicScheduling:
         assert ticks == [1, 1]
         assert engine.pending_events == 0
 
-    def test_periodic_cancel_from_inside_callback(self, any_engine):
-        engine = any_engine
+    def test_periodic_cancel_from_inside_callback(self, engine):
         ticks = []
         handle = engine.schedule_periodic(
             1.0, lambda: (ticks.append(1),
@@ -391,12 +337,11 @@ class TestPeriodicScheduling:
         engine.run(until=20.0)
         assert ticks == [1, 1, 1]
 
-    def test_periodic_interval_must_be_positive(self, any_engine):
+    def test_periodic_interval_must_be_positive(self, engine):
         with pytest.raises(SimulationError):
-            any_engine.schedule_periodic(0.0, lambda: None)
+            engine.schedule_periodic(0.0, lambda: None)
 
-    def test_periodic_interleaves_fifo_with_plain_events(self, any_engine):
-        engine = any_engine
+    def test_periodic_interleaves_fifo_with_plain_events(self, engine):
         order = []
         engine.schedule_periodic(1.0, lambda: order.append("tick"))
         engine.schedule_at(1.0, lambda: order.append("plain"))
@@ -407,8 +352,7 @@ class TestPeriodicScheduling:
 
 
 class TestReusableTimer:
-    def test_timer_rearms_same_event_object(self, any_engine):
-        engine = any_engine
+    def test_timer_rearms_same_event_object(self, engine):
         fired = []
         timer = engine.timer(lambda: fired.append(engine.now))
         timer.arm_at(1.0)
@@ -420,8 +364,7 @@ class TestReusableTimer:
         assert fired == [1.0, 2.0]
 
     def test_timer_arm_while_pending_schedules_independent_event(
-            self, any_engine):
-        engine = any_engine
+            self, engine):
         fired = []
         timer = engine.timer(lambda: fired.append(engine.now))
         timer.arm_at(2.0)
@@ -429,8 +372,7 @@ class TestReusableTimer:
         engine.run()
         assert fired == [1.0, 2.0]  # both occurrences fire
 
-    def test_timer_cancel(self, any_engine):
-        engine = any_engine
+    def test_timer_cancel(self, engine):
         fired = []
         timer = engine.timer(lambda: fired.append(1))
         timer.arm_after(1.0)
@@ -440,8 +382,7 @@ class TestReusableTimer:
         engine.run()
         assert fired == []
 
-    def test_timer_args_per_arm(self, any_engine):
-        engine = any_engine
+    def test_timer_args_per_arm(self, engine):
         seen = []
         timer = engine.timer(lambda tag: seen.append(tag))
         timer.arm_at(1.0, args=("a",))
@@ -456,8 +397,7 @@ class TestResetInertness:
     never resurrect accounting or re-arm into the fresh queue."""
 
     def test_cancel_of_stale_handle_does_not_corrupt_accounting(
-            self, any_engine):
-        engine = any_engine
+            self, engine):
         stale = engine.schedule_at(1.0, lambda: None)
         engine.reset()
         engine.schedule_at(1.0, lambda: None)
@@ -467,8 +407,7 @@ class TestResetInertness:
         engine.run()
         assert engine.processed_events == 1
 
-    def test_cancelled_then_reset_then_cancelled_again(self, any_engine):
-        engine = any_engine
+    def test_cancelled_then_reset_then_cancelled_again(self, engine):
         handle = engine.schedule_at(1.0, lambda: None)
         handle.cancel()
         engine.reset()
@@ -476,8 +415,7 @@ class TestResetInertness:
         engine.schedule_at(2.0, lambda: None)
         assert engine.pending_events == 1
 
-    def test_periodic_from_before_reset_never_rearms(self, any_engine):
-        engine = any_engine
+    def test_periodic_from_before_reset_never_rearms(self, engine):
         ticks = []
         handle = engine.schedule_periodic(1.0, lambda: ticks.append(1))
         engine.run(until=1.5)
@@ -489,8 +427,7 @@ class TestResetInertness:
         assert engine.pending_events == 0
 
     def test_reusable_timer_from_before_reset_allocates_fresh(
-            self, any_engine):
-        engine = any_engine
+            self, engine):
         fired = []
         timer = engine.timer(lambda: fired.append(engine.now))
         timer.arm_at(1.0)
@@ -502,8 +439,7 @@ class TestResetInertness:
         engine.run()
         assert fired == [1.0, 3.0]
 
-    def test_reset_restarts_clock_and_counters(self, any_engine):
-        engine = any_engine
+    def test_reset_restarts_clock_and_counters(self, engine):
         engine.schedule_at(5.0, lambda: None)
         engine.run()
         engine.reset(start_time=2.0)

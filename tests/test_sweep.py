@@ -279,3 +279,80 @@ class TestCacheReport:
         runner.run()
         assert runner.cache_report().counts() == \
             {"hits": 1, "misses": 0, "skips": 0}
+
+
+class TestLegacyEngineRecords:
+    """Records written while the event engine was selectable carry an
+    ``engine`` name; they must still load, and v8 cache entries — whose
+    filename ends in ``.<backend>.<engine>.json`` — are reported, never
+    served."""
+
+    def test_v8_cache_entry_is_skipped_with_reason(self, tmp_path):
+        from repro.runtime.cache import ResumeCache
+
+        specs = small_grid(1)
+        first = SweepRunner(specs, DURATION, master_seed=3,
+                            cache_dir=tmp_path).run()
+        (entry,) = tmp_path.glob("*.json")
+        data = json.loads(entry.read_text())
+        data.update(cache_version=8, engine="heap", attempts=2)
+        data["outcome"]["engine"] = "heap"
+        legacy = entry.with_name(entry.name[:-len(".json")] + ".heap.json")
+        legacy.write_text(json.dumps(data))
+        entry.unlink()
+
+        seed = first.outcomes[0].seed
+        assert ResumeCache(tmp_path).recorded_attempts(
+            specs[0], seed, DURATION) == 0
+        runner = SweepRunner(specs, DURATION, master_seed=3,
+                             cache_dir=tmp_path)
+        result = runner.run()
+        report = runner.cache_report()
+        assert report.counts() == {"hits": 0, "misses": 0, "skips": 1}
+        assert "'heap'" in report.skips[0].reason
+        assert not result.outcomes[0].from_cache
+        assert result.outcomes == first.outcomes
+
+    def test_plan_spec_and_outcome_dicts_with_engine_load(self):
+        from repro.runtime.sweep import ScenarioOutcome
+
+        spec = small_grid(1)[0]
+        rebuilt = ScenarioSpec.from_dict({**spec.to_dict(),
+                                          "engine": "heap"})
+        assert rebuilt == spec
+        assert rebuilt.identity_key() == spec.identity_key()
+        outcome = SweepRunner([spec], DURATION, master_seed=3).run() \
+            .outcomes[0]
+        legacy = ScenarioOutcome.from_dict({**outcome.to_dict(),
+                                            "engine": "heap"})
+        assert legacy == outcome
+
+    def test_sink_records_with_engine_load(self, tmp_path):
+        from repro.cluster.sinks import (
+            ColumnarResultSink,
+            JsonlResultSink,
+            load_results,
+        )
+
+        outcome = SweepRunner(small_grid(1), DURATION,
+                              master_seed=3).run().outcomes[0]
+        jsonl = tmp_path / "part.jsonl"
+        sink = JsonlResultSink(jsonl)
+        sink.write(0, outcome)
+        sink.close()
+        header, line = jsonl.read_text().splitlines()
+        record = json.loads(line)
+        record["outcome"]["engine"] = "heap"
+        jsonl.write_text(header + "\n" + json.dumps(record) + "\n")
+        assert load_results(jsonl) == [(0, outcome)]
+
+        columnar = tmp_path / "part.columnar"
+        sink = ColumnarResultSink(columnar)
+        sink.write(0, outcome)
+        sink.close()
+        (columnar / "seg-000000" / "engine.json").write_text(
+            json.dumps(["heap"]))
+        manifest = json.loads((columnar / "manifest.json").read_text())
+        manifest["columns"] = sorted(manifest["columns"] + ["engine"])
+        (columnar / "manifest.json").write_text(json.dumps(manifest))
+        assert load_results(columnar) == [(0, outcome)]
