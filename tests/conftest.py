@@ -10,6 +10,7 @@ import pytest
 from repro.hardware.parameters import lab_scenario, ql2020_scenario
 from repro.obs import Tracer
 from repro.sim.engine import SimulationEngine
+from repro.sim.queues import EventQueue, HeapEventQueue
 
 
 @pytest.fixture(autouse=True)
@@ -46,6 +47,65 @@ def _isolate_repro_selectors():
 def engine() -> SimulationEngine:
     """A fresh simulation engine."""
     return SimulationEngine()
+
+
+class EagerCompactionHeap(HeapEventQueue):
+    """The heap, rebuilt without its cancelled residents on every
+    cancellation, so compaction interleaves with every test's
+    operations."""
+
+    def note_cancelled(self, event) -> None:
+        self._cancelled += 1
+        self._compact()
+
+
+class ContractProxyQueue(EventQueue):
+    """A wrapper that reaches the heap through the abstract
+    :class:`EventQueue` contract only, the way a caller's timing proxy
+    would.  It inherits the base-class ``pop_due`` (peek, then pop)."""
+
+    name = "proxy"
+
+    def __init__(self) -> None:
+        self._inner = HeapEventQueue()
+
+    def push(self, event) -> None:
+        self._inner.push(event)
+
+    def peek(self):
+        return self._inner.peek()
+
+    def pop(self):
+        return self._inner.pop()
+
+    def note_cancelled(self, event) -> None:
+        self._inner.note_cancelled(event)
+
+    def clear(self, floor_time: float = 0.0) -> None:
+        self._inner.clear(floor_time)
+
+    def __len__(self) -> int:
+        return len(self._inner)
+
+    @property
+    def live_count(self) -> int:
+        return self._inner.live_count
+
+
+#: Queue configurations the engine must behave identically under.
+QUEUE_FACTORIES = {
+    "heap": HeapEventQueue,
+    "eager-compaction": EagerCompactionHeap,
+    "contract-proxy": ContractProxyQueue,
+}
+
+
+@pytest.fixture(params=sorted(QUEUE_FACTORIES))
+def queue_factory(request):
+    """A zero-argument callable returning a fresh :class:`EventQueue`, one
+    per entry of :data:`QUEUE_FACTORIES` (select a subset with indirect
+    parametrization by name)."""
+    return QUEUE_FACTORIES[request.param]
 
 
 class ExecutedLog(Tracer):

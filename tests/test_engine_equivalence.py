@@ -1,4 +1,10 @@
-"""Timer-elision equivalence.
+"""Queue-configuration and timer-elision equivalence.
+
+Every queue configuration of ``conftest.QUEUE_FACTORIES`` must drive the
+same simulation as the default heap: for a given scenario, seed and
+physics backend the executed ``(time, name)`` sequence is identical, so
+compaction timing and a caller's wrapper around the queue cannot change a
+result.
 
 Reply-watchdog elision is bit-identical — the watchdog never fires at zero
 frame loss, so the executed ``(time, name)`` sequence is unchanged — and
@@ -32,6 +38,79 @@ def mixed_run(duration, *, backend, attach=None, seed=12345, batch=40,
                         attempt_batch_size=batch, backend=backend, **kwargs)
     hooked = attach(run.network.engine) if attach is not None else None
     return run.run(duration), hooked
+
+
+def traced_run(scenario, workload, duration, log_executed, *, backend,
+               seed=12345, batch=40, **kwargs):
+    """Run one simulation recording the executed-event trace."""
+    run = SimulationRun(scenario, workload, seed=seed,
+                        attempt_batch_size=batch, backend=backend, **kwargs)
+    trace = log_executed(run.network.engine)
+    return run.run(duration), trace
+
+
+#: The configurations compared against the default heap.
+ALTERNATIVE_QUEUES = pytest.mark.parametrize(
+    "queue_factory", ["eager-compaction", "contract-proxy"], indirect=True)
+
+
+@ALTERNATIVE_QUEUES
+class TestTraceEquivalence:
+    """Event-for-event identical traces on every queue configuration."""
+
+    @pytest.mark.parametrize("backend", ["analytic", "density"])
+    def test_smoke_ql2020_mixed_traces_identical(self, backend,
+                                                 queue_factory,
+                                                 log_executed):
+        duration = 0.6 if backend == "analytic" else 0.2
+        reference, ref_trace = traced_run(
+            ql2020_scenario(), MIXED_WORKLOAD, duration, log_executed,
+            backend=backend)
+        assert ref_trace, "reference run executed no events"
+        result, trace = traced_run(
+            ql2020_scenario(), MIXED_WORKLOAD, duration, log_executed,
+            backend=backend, engine=queue_factory())
+        assert trace == ref_trace
+        assert result.events_processed == reference.events_processed
+        assert result.summary == reference.summary
+
+    def test_lab_single_kind_traces_identical(self, queue_factory,
+                                              log_executed):
+        workload = [WorkloadSpec(priority=Priority.CK, load_fraction=0.99,
+                                 max_pairs=3, min_fidelity=0.6)]
+        _, ref_trace = traced_run(lab_scenario(), workload, 1.0,
+                                  log_executed, backend="analytic")
+        assert ref_trace
+        _, trace = traced_run(lab_scenario(), workload, 1.0, log_executed,
+                              backend="analytic", engine=queue_factory())
+        assert trace == ref_trace
+
+    def test_traces_identical_with_reference_scheduling(self, queue_factory,
+                                                        log_executed):
+        """Equivalence holds for the un-elided reference pattern too."""
+        _, ref_trace = traced_run(
+            ql2020_scenario(), MIXED_WORKLOAD, 0.5, log_executed,
+            backend="analytic", elide_watchdog=False, timer_elision=False)
+        assert ref_trace
+        _, trace = traced_run(
+            ql2020_scenario(), MIXED_WORKLOAD, 0.5, log_executed,
+            backend="analytic", elide_watchdog=False, timer_elision=False,
+            engine=queue_factory())
+        assert trace == ref_trace
+
+    def test_frame_loss_traces_identical(self, queue_factory, log_executed):
+        """The robustness path (loss > 0, watchdogs active) is equivalent
+        as well."""
+        scenario = lab_scenario().with_frame_loss(1e-3)
+        workload = [WorkloadSpec(priority=Priority.MD, load_fraction=0.99,
+                                 max_pairs=3, min_fidelity=0.6)]
+        _, ref_trace = traced_run(scenario, workload, 1.0, log_executed,
+                                  backend="analytic", batch=1)
+        assert ref_trace
+        _, trace = traced_run(scenario, workload, 1.0, log_executed,
+                              backend="analytic", batch=1,
+                              engine=queue_factory())
+        assert trace == ref_trace
 
 
 class TestWatchdogElision:

@@ -2,8 +2,11 @@
 
 The engine-facing contract — ordering, cancellation, ``run(until=)``,
 periodic and reusable timers, reset — plus a randomized fuzz of
-schedule/cancel/run interleavings.  The heap's compaction internals are
-pinned in ``test_sim_engine.py``.
+schedule/cancel/run interleavings.  Each runs under every queue
+configuration of ``conftest.QUEUE_FACTORIES``: the plain heap, the heap
+compacting eagerly, and a proxy that reaches the heap through the abstract
+contract only.  The heap's compaction internals are pinned in
+``test_sim_engine.py``.
 """
 
 from __future__ import annotations
@@ -14,6 +17,12 @@ import pytest
 
 from repro.sim.engine import SimulationEngine, SimulationError
 from repro.sim.queues import HeapEventQueue, make_event_queue
+
+
+@pytest.fixture
+def engine(queue_factory):
+    """A fresh engine on one queue configuration."""
+    return SimulationEngine(queue=queue_factory())
 
 
 class TestMakeEventQueue:
@@ -228,8 +237,8 @@ class TestRandomizedInterleavings:
     event exactly once, in strictly increasing ``(time, sequence)``."""
 
     @staticmethod
-    def _run_script(script, log_executed):
-        engine = SimulationEngine()
+    def _run_script(script, log_executed, queue):
+        engine = SimulationEngine(queue=queue)
         log = log_executed(engine)
         handles = {}
         order = []  # cancellation targets, in scheduling order
@@ -261,7 +270,8 @@ class TestRandomizedInterleavings:
         return log, handles, never_fire
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 6, 7])
-    def test_fuzzed_order_and_cancellation(self, seed, log_executed):
+    def test_fuzzed_order_and_cancellation(self, seed, log_executed,
+                                           queue_factory):
         rnd = random.Random(seed)
         script = []
         t = 0.0
@@ -287,7 +297,8 @@ class TestRandomizedInterleavings:
             else:
                 t += rnd.random() * 0.05
                 script.append(("run_until", t))
-        log, handles, never_fire = self._run_script(script, log_executed)
+        log, handles, never_fire = self._run_script(script, log_executed,
+                                                    queue_factory())
         assert log  # the fuzz actually executed something
         keys = [(time, handles[name].sequence) for time, name in log]
         assert all(earlier < later for earlier, later in zip(keys, keys[1:]))
